@@ -4,9 +4,11 @@ Matrix literals use ';' between rows and whitespace between entries
 ("2 4; 6 8"); weight vectors are whitespace-separated ("1 2 0"); zero
 patterns are whitespace-separated 1-based indices.  Matrices can also be
 given as JSON objects {"rows": m, "cols": n, "entries": [[...], ...]},
-which round-trips with the emitted payloads.
+which round-trips with the emitted payloads; every number in the object
+must be a JSON integer.
 
-Exit codes: 0 success, 1 malformed input, 2 precondition violation.
+Exit codes: 0 success, 1 malformed input, 2 precondition violation or a
+result too large to print (error "TooLarge").
 """
 
 from __future__ import annotations
@@ -46,10 +48,20 @@ def _parse_matrix_json(text: str) -> IntMatrix:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict) or not {"rows", "cols", "entries"} <= obj.keys():
+        raise UsageError("invalid matrix object: need rows, cols and entries")
+    rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+    # bool is a subclass of int, so compare exact types: 1.9, true and "3"
+    # are rejected, never truncated or coerced
+    if not (type(rows) is int and type(cols) is int and type(entries) is list
+            and all(type(row) is list for row in entries)
+            and all(type(x) is int for row in entries for x in row)):
+        raise UsageError("invalid matrix object: rows, cols and entries must be integers")
+    if cols < 1:
+        raise UsageError("invalid matrix object: need cols >= 1")
     try:
-        return IntMatrix(int(obj["rows"]), int(obj["cols"]),
-                         tuple(tuple(int(x) for x in row) for row in obj["entries"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        return IntMatrix(rows, cols, tuple(tuple(row) for row in entries))
+    except ValueError as exc:
         raise UsageError(f"invalid matrix object: {exc}") from exc
 
 
@@ -344,6 +356,13 @@ def _emit(payload: dict) -> None:
                                 separators=(",", ":")) + "\n")
 
 
+def _fail(code: int, kind: str, exc: Exception) -> int:
+    sys.stderr.write(f"diagtorus: {exc}\n")
+    _emit({"schema_version": SCHEMA_VERSION, "ok": False,
+           "error": kind, "message": str(exc)})
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -360,24 +379,20 @@ def main(argv=None) -> int:
     try:
         result, witness = args.func(args)
     except UsageError as exc:
-        sys.stderr.write(f"diagtorus: {exc}\n")
-        _emit({"schema_version": SCHEMA_VERSION, "ok": False,
-               "error": "usage", "message": str(exc)})
-        return 1
+        return _fail(1, "usage", exc)
     except ValueError as exc:
-        sys.stderr.write(f"diagtorus: {exc}\n")
-        _emit({"schema_version": SCHEMA_VERSION, "ok": False,
-               "error": "value", "message": str(exc)})
-        return 1
+        return _fail(1, "value", exc)
     except DiagTorusError as exc:
-        sys.stderr.write(f"diagtorus: {exc}\n")
-        _emit({"schema_version": SCHEMA_VERSION, "ok": False,
-               "error": type(exc).__name__, "message": str(exc)})
-        return 2
+        return _fail(2, type(exc).__name__, exc)
     payload = {"schema_version": SCHEMA_VERSION, "ok": True, "result": result}
     if witness is not None:
         payload["witness"] = witness
-    _emit(payload)
+    try:
+        _emit(payload)
+    except ValueError as exc:
+        # an integer past the interpreter's int-to-str digit limit; json
+        # raises before anything is written
+        return _fail(2, "TooLarge", exc)
     return 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DimensionMismatch, NotPrimitive, ZeroVector
-from .intmat import IntMatrix, inverse_unimodular, smith_normal_form
+from .intmat import IntMatrix, _smith, smith_normal_form
 from .lattice import RowLattice, equal, lattice_of, permuted_equal
 
 
@@ -122,19 +122,15 @@ def crn_conjugator(g1: DiagSubgroup, g2: DiagSubgroup):
 
     With S = U_A A V_A = U_B B V_B (same Smith form once the bases are padded
     to a common row count), M = V_A V_B^-1 satisfies
-    transform(g1.lattice, M) = g2.lattice.
+    transform(g1.lattice, M) = g2.lattice.  V_B^-1 is tracked during the
+    elimination, so nothing is inverted.
     """
     if not conjugate_in_crn(g1, g2):
         return None
-    n = g1.ambient_dim
     m = max(g1.lattice.rank, g2.lattice.rank)
-    if m == 0:
-        return IntMatrix.identity(n)
-    a = _padded_basis(g1, m)
-    b = _padded_basis(g2, m)
-    da = smith_normal_form(a)
-    db = smith_normal_form(b)
-    return da.V @ inverse_unimodular(db.V)
+    va = smith_normal_form(_padded_basis(g1, m)).V
+    _, vb_inv = _smith(_padded_basis(g2, m), track_inverse=True)
+    return va @ vb_inv
 
 
 def crn_canonical(g: DiagSubgroup) -> CanonicalCrn:

@@ -8,25 +8,29 @@ arbitrary-precision integers; there is no floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from .errors import NotUnimodular, RankDeficient
 
 Row = tuple[int, ...]
 
 
+def _identity_lists(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 @dataclass(frozen=True)
 class IntMatrix:
-    """An immutable m x n integer matrix (m >= 0, n >= 1)."""
+    """An immutable m x n integer matrix (m >= 0, n >= 0)."""
 
     rows: int
     cols: int
     entries: tuple[Row, ...]
 
     def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 1:
-            raise ValueError("need rows >= 0 and cols >= 1")
+        if self.rows < 0 or self.cols < 0:
+            raise ValueError("need rows >= 0 and cols >= 0")
         if len(self.entries) != self.rows:
             raise ValueError("row count does not match entries")
         for row in self.entries:
@@ -44,12 +48,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        if n == 0:
-            # degenerate witness for a 0-row operand; cols >= 1 is enforced
-            # elsewhere, so model the empty identity as 0 x 1 with no rows
-            return cls(0, 1, ())
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n))
-                               for i in range(n)))
+        return cls.from_rows(_identity_lists(n), n)
 
     @classmethod
     def zero(cls, m: int, n: int) -> "IntMatrix":
@@ -63,8 +62,6 @@ class IntMatrix:
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
-            if self.rows == 0:
-                return IntMatrix(0, other.cols, ())
             raise ValueError("shape mismatch in matrix product")
         out = []
         for r in self.entries:
@@ -108,24 +105,69 @@ def is_unimodular(a: IntMatrix) -> bool:
     return a.is_square() and abs(determinant(a)) == 1
 
 
+def _hermite_pass(work: list[list[int]], width: int, inverse=None) -> int:
+    """Row Hermite reduction, in place, of the first `width` columns of work.
+
+    Nonzero rows come first, pivots are positive and strictly right-shifting
+    downward, and entries above each pivot are reduced into [0, pivot).
+    Entries past `width` ride along, so a witness appended to the rows
+    records the row operations.  When the witness part of the rows is W,
+    `inverse` (a list of rows) receives the inverse-transpose operations and
+    so stays (W^T)^-1.  Returns the number of nonzero rows.
+    """
+    m = len(work)
+    r = 0
+    for col in range(width):
+        if r == m:
+            break
+        while True:
+            nz = [i for i in range(r, m) if work[i][col]]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda i: abs(work[i][col]))
+            base = nz[0]
+            b = work[base]
+            p = b[col]
+            for i in nz[1:]:
+                q = work[i][col] // p
+                work[i] = [x - q * y for x, y in zip(work[i], b)]
+                if inverse is not None:
+                    inverse[base] = [x + q * y for x, y in zip(inverse[base], inverse[i])]
+        if not nz:
+            continue
+        i = nz[0]
+        work[r], work[i] = work[i], work[r]
+        if inverse is not None:
+            inverse[r], inverse[i] = inverse[i], inverse[r]
+        if work[r][col] < 0:
+            work[r] = [-x for x in work[r]]
+            if inverse is not None:
+                inverse[r] = [-x for x in inverse[r]]
+        b = work[r]
+        p = b[col]
+        for k in range(r):
+            q = work[k][col] // p
+            if q:
+                work[k] = [x - q * y for x, y in zip(work[k], b)]
+                if inverse is not None:
+                    inverse[r] = [x + q * y for x, y in zip(inverse[r], inverse[k])]
+        r += 1
+    return r
+
+
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular matrix; exact, with integer entries."""
-    if not is_unimodular(a):
-        raise NotUnimodular("matrix is not square with determinant +-1")
+    """Inverse of a unimodular matrix; exact, with integer entries.
+
+    The row Hermite form of a unimodular matrix is the identity, so the
+    row operations that reach it multiply to the inverse.
+    """
     n = a.rows
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a.entries)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if work[i][col] != 0)
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    inv = tuple(tuple(int(work[i][n + j]) for j in range(n)) for i in range(n))
-    return IntMatrix(n, n, inv)
+    if a.is_square():
+        work = [list(row) + unit for row, unit in zip(a.entries, _identity_lists(n))]
+        _hermite_pass(work, n)
+        if [row[:n] for row in work] == _identity_lists(n):
+            return IntMatrix(n, n, tuple(tuple(row[n:]) for row in work))
+    raise NotUnimodular("matrix is not square with determinant +-1")
 
 
 @dataclass(frozen=True)
@@ -138,53 +180,107 @@ class SmithDecomposition:
     factors: tuple[int, ...]
 
 
-class _Worksheet:
-    """Mutable elimination state; row ops mirror on u, column ops on v."""
+def _mix(rows, i, j, a, b, c, d) -> None:
+    """Rows i, j become a*row_i + b*row_j and c*row_i + d*row_j."""
+    x, y = rows[i], rows[j]
+    rows[i] = [a * p + b * q for p, q in zip(x, y)]
+    rows[j] = [c * p + d * q for p, q in zip(x, y)]
 
-    def __init__(self, a: IntMatrix, witnesses: bool):
+
+def _is_diagonal(a: list[list[int]]) -> bool:
+    return not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(a))
+
+
+def _smith(a: IntMatrix, track_inverse: bool):
+    """Smith form with witnesses, and V^-1 when track_inverse is set.
+
+    Row and column Hermite passes alternate until the matrix is diagonal.
+    The row pass carries U; the column pass is the row pass on the
+    transpose and carries V^T, mirroring each step on V^-1.  Reducing the
+    entries above each pivot keeps U and V small.
+
+    The passes terminate: from the second pass on, entry (0, 0) is positive
+    and is the gcd of the column (row pass) or row (column pass) through it,
+    so it divides its previous value.  When it stops changing, the pass
+    clears its row and column exactly, and later passes never touch them
+    again.  The same argument then applies to the trailing submatrix.
+    """
+    m, n = a.rows, a.cols
+    rows = a.to_lists()
+    u = _identity_lists(m)
+    vt = _identity_lists(n)
+    vinv = _identity_lists(n) if track_inverse else None
+    while True:
+        work = [x + y for x, y in zip(rows, u)]
+        _hermite_pass(work, n)
+        rows, u = [w[:n] for w in work], [w[n:] for w in work]
+        if _is_diagonal(rows):
+            break
+        work = [list(c) + v for c, v in zip(zip(*rows), vt)]
+        _hermite_pass(work, m, vinv)
+        vt = [w[m:] for w in work]
+        rows = [list(row) for row in zip(*(w[:m] for w in work))]
+        if _is_diagonal(rows):
+            break
+    # The last pass left a diagonal matrix in Hermite form, so its entries
+    # are positive and the zeros trail.  Fix the divisibility chain with
+    # 2 x 2 unimodular transforms taking diag(x, y) to diag(gcd, lcm):
+    # L = [[s, t], [-y/g, x/g]] on the left, R = [[1, -t*y/g], [1, s*x/g]]
+    # on the right, and R^-1 = [[s*x/g, t*y/g], [-1, 1]] on V^-1.
+    d = [rows[i][i] for i in range(min(m, n))]
+    r = sum(1 for x in d if x)
+    for i in range(r):
+        for j in range(i + 1, r):
+            x, y = d[i], d[j]
+            if y % x:
+                g = gcd(x, y)
+                xg, yg = x // g, y // g
+                s = pow(xg, -1, yg)  # s*x + t*y == g
+                t = (g - s * x) // y
+                d[i], d[j] = g, x * yg
+                _mix(u, i, j, s, t, -yg, xg)
+                _mix(vt, i, j, 1, 1, -t * yg, s * xg)
+                if vinv is not None:
+                    _mix(vinv, i, j, s * xg, t * yg, -1, 1)
+    S = IntMatrix(m, n, tuple(tuple(d[i] if i == j else 0 for j in range(n))
+                              for i in range(m)))
+    U = IntMatrix(m, m, tuple(tuple(row) for row in u))
+    V = IntMatrix(n, n, tuple(zip(*vt)))
+    Vinv = None if vinv is None else IntMatrix(n, n, tuple(tuple(row) for row in vinv))
+    return SmithDecomposition(U, S, V, tuple(d[:r])), Vinv
+
+
+def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
+    """Smith normal form with unimodular witnesses: S = U @ A @ V."""
+    return _smith(a, track_inverse=False)[0]
+
+
+class _Worksheet:
+    """Mutable elimination state for the factors-only Smith form."""
+
+    def __init__(self, a: IntMatrix):
         self.a = a.to_lists()
         self.m = a.rows
         self.n = a.cols
-        self.u = [[int(i == j) for j in range(self.m)] for i in range(self.m)] if witnesses else None
-        self.v = [[int(i == j) for j in range(self.n)] for i in range(self.n)] if witnesses else None
 
     def swap_rows(self, i, j):
-        if i == j:
-            return
         self.a[i], self.a[j] = self.a[j], self.a[i]
-        if self.u is not None:
-            self.u[i], self.u[j] = self.u[j], self.u[i]
 
     def swap_cols(self, i, j):
         if i == j:
             return
         for row in self.a:
             row[i], row[j] = row[j], row[i]
-        if self.v is not None:
-            for row in self.v:
-                row[i], row[j] = row[j], row[i]
 
     def row_submul(self, i, j, q):
         self.a[i] = [x - q * y for x, y in zip(self.a[i], self.a[j])]
-        if self.u is not None:
-            self.u[i] = [x - q * y for x, y in zip(self.u[i], self.u[j])]
 
     def col_submul(self, i, j, q):
         for row in self.a:
             row[i] -= q * row[j]
-        if self.v is not None:
-            for row in self.v:
-                row[i] -= q * row[j]
 
     def row_add(self, i, j):
         self.a[i] = [x + y for x, y in zip(self.a[i], self.a[j])]
-        if self.u is not None:
-            self.u[i] = [x + y for x, y in zip(self.u[i], self.u[j])]
-
-    def negate_row(self, i):
-        self.a[i] = [-x for x in self.a[i]]
-        if self.u is not None:
-            self.u[i] = [-x for x in self.u[i]]
 
     def min_pivot(self, t):
         piv = None
@@ -197,8 +293,13 @@ class _Worksheet:
         return piv
 
 
-def _smith_diagonalize(w: _Worksheet) -> int:
-    """Bring the worksheet to Smith form; returns the rank."""
+def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
+    """Invariant factors only, by min-pivot elimination without witnesses.
+
+    On small matrices this is faster than the Hermite passes of
+    smith_normal_form, and it keeps no U or V.
+    """
+    w = _Worksheet(a)
     t = 0
     while t < min(w.m, w.n):
         piv = w.min_pivot(t)
@@ -236,29 +337,7 @@ def _smith_diagonalize(w: _Worksheet) -> int:
             # this is what enforces the divisibility chain
             w.row_add(t, bad)
         t += 1
-    rank = t
-    for i in range(rank):
-        if w.a[i][i] < 0:
-            w.negate_row(i)
-    return rank
-
-
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with unimodular witnesses: S = U @ A @ V."""
-    w = _Worksheet(a, witnesses=True)
-    r = _smith_diagonalize(w)
-    S = IntMatrix(a.rows, a.cols, tuple(tuple(row) for row in w.a))
-    U = IntMatrix.from_rows(w.u, a.rows) if a.rows else IntMatrix.identity(0)
-    V = IntMatrix.from_rows(w.v, a.cols)
-    factors = tuple(w.a[i][i] for i in range(r))
-    return SmithDecomposition(U, S, V, factors)
-
-
-def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors only; skips the U/V bookkeeping for speed."""
-    w = _Worksheet(a, witnesses=False)
-    r = _smith_diagonalize(w)
-    return tuple(w.a[i][i] for i in range(r))
+    return tuple(abs(w.a[i][i]) for i in range(t))
 
 
 def hermite_normal_form(a: IntMatrix) -> IntMatrix:
@@ -267,32 +346,9 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
     Zero rows are removed, pivots are positive and strictly right-shifting
     downward, and entries above each pivot are reduced into [0, pivot).
     """
-    m, n = a.rows, a.cols
     work = a.to_lists()
-    r = 0
-    for col in range(n):
-        while True:
-            nz = [i for i in range(r, m) if work[i][col]]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: abs(work[i][col]))
-            base = nz[0]
-            for i in nz[1:]:
-                q = work[i][col] // work[base][col]
-                work[i] = [x - q * y for x, y in zip(work[i], work[base])]
-        nz = [i for i in range(r, m) if work[i][col]]
-        if not nz:
-            continue
-        work[r], work[nz[0]] = work[nz[0]], work[r]
-        if work[r][col] < 0:
-            work[r] = [-x for x in work[r]]
-        p = work[r][col]
-        for k in range(r):
-            q = work[k][col] // p
-            if q:
-                work[k] = [x - q * y for x, y in zip(work[k], work[r])]
-        r += 1
-    return IntMatrix(r, n, tuple(tuple(row) for row in work[:r]))
+    r = _hermite_pass(work, a.cols)
+    return IntMatrix(r, a.cols, tuple(tuple(row) for row in work[:r]))
 
 
 def rank(a: IntMatrix) -> int:

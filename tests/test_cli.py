@@ -200,6 +200,43 @@ class TestContracts:
             assert payload["ok"] is False
             assert "error" in payload and "message" in payload
 
+    @pytest.mark.parametrize("entry", ["1.9", "true", '"3"'])
+    def test_matrix_json_rejects_non_integers(self, capsys, entry):
+        obj = '{"rows":1,"cols":2,"entries":[[%s,2]]}' % entry
+        code, payload = run_json(capsys, "hnf", "--matrix-json", obj)
+        assert code == 1
+        assert payload["ok"] is False and payload["error"] == "usage"
+
+    @pytest.mark.parametrize("obj", [
+        '{"rows":true,"cols":2,"entries":[[1,2]]}',
+        '{"rows":1,"cols":2.0,"entries":[[1,2]]}',
+        '{"rows":1,"cols":2,"entries":"12"}',
+        '{"rows":0,"cols":0,"entries":[]}',
+        '[1, 2]',
+    ])
+    def test_matrix_json_rejects_bad_shapes(self, capsys, obj):
+        code, payload = run_json(capsys, "snf", "--matrix-json", obj)
+        assert code == 1
+        assert payload["error"] == "usage"
+
+    def test_zero_row_snf_has_empty_u(self, capsys):
+        code, payload = run_json(capsys, "snf", "--matrix-json",
+                                 '{"rows":0,"cols":3,"entries":[]}')
+        assert code == 0
+        assert payload["result"]["U"] == {"rows": 0, "cols": 0, "entries": []}
+
+    @pytest.mark.parametrize("command", ["snf", "isotype"])
+    def test_oversized_output_exits_2(self, capsys, command):
+        # p and q are coprime with about 3,000 digits each; their lcm passes
+        # the interpreter's 4,300-digit int-to-str limit
+        p = 10**2999 + 7
+        q = p + 1
+        code, out = run(capsys, command, "--matrix", f"{p} 0; 0 {q}")
+        assert code == 2
+        assert out.count("\n") == 1
+        payload = json.loads(out)
+        assert payload["ok"] is False and payload["error"] == "TooLarge"
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
 

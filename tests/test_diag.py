@@ -106,6 +106,29 @@ class TestConjugacy:
             assert equal(transform(g1.lattice, w), g2.lattice)
 
 
+    def test_crn_conjugator_on_20x20_pairs(self):
+        # b = a M with M unimodular, so the pair is conjugate and the
+        # witness must carry the lattice of a onto that of b
+        from diagtorus import determinant, equal
+
+        rng = random.Random(29)
+        n = 20
+        for _ in range(3):
+            a = IntMatrix.from_rows(
+                [[rng.randint(-100, 100) for _ in range(n)] for _ in range(n)])
+            m = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(2 * n):
+                i, j = rng.sample(range(n), 2)
+                c = rng.choice((-1, 1))
+                for row in m:
+                    row[i] += c * row[j]
+            g1 = DiagSubgroup.from_matrix(a)
+            g2 = DiagSubgroup.from_matrix(a @ IntMatrix.from_rows(m))
+            w = crn_conjugator(g1, g2)
+            assert abs(determinant(w)) == 1
+            assert equal(transform(g1.lattice, w), g2.lattice)
+
+
 class TestCanonicalForms:
     def test_crn_canonical_shape(self):
         c = crn_canonical(D((2, 4), (6, 8)))

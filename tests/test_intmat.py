@@ -1,3 +1,4 @@
+import math
 import random
 from math import gcd
 from itertools import combinations
@@ -10,10 +11,12 @@ from diagtorus import (
     determinant,
     hermite_normal_form,
     invariant_factors,
+    inverse_unimodular,
     pluecker_coordinates,
     smith_normal_form,
 )
-from diagtorus.errors import RankDeficient
+from diagtorus.errors import NotUnimodular, RankDeficient
+from diagtorus.intmat import _smith
 
 
 def small_matrix(max_dim=4, lo=-5, hi=5):
@@ -99,6 +102,94 @@ class TestSmithNormalForm:
             a = IntMatrix.from_rows(
                 [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)], n)
             assert invariant_factors(a) == smith_normal_form(a).factors
+
+
+def random_matrix(rng, m, n, bound):
+    return IntMatrix.from_rows(
+        [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)], n)
+
+
+def max_bits(*mats):
+    return max((abs(x).bit_length() for mat in mats for row in mat.entries
+                for x in row), default=0)
+
+
+class TestSmithWitnesses:
+    def test_zero_row_input_has_a_real_empty_u(self):
+        a = IntMatrix(0, 3, ())
+        dec = smith_normal_form(a)
+        assert dec.U == IntMatrix.identity(0) == IntMatrix(0, 0, ())
+        assert dec.U @ a @ dec.V == dec.S
+        assert dec.factors == ()
+
+    @pytest.mark.parametrize("diagonal,factors", [
+        ((2, 3), (1, 6)), ((4, 2), (2, 4)), ((6, 4, 0), (2, 12)), ((0, 5, 3), (1, 15)),
+    ])
+    def test_divisibility_chain_repair(self, diagonal, factors):
+        n = len(diagonal)
+        a = IntMatrix.from_rows([[d if i == j else 0 for j in range(n)]
+                                 for i, d in enumerate(diagonal)])
+        dec = smith_normal_form(a)
+        assert dec.factors == factors
+        assert dec.U @ a @ dec.V == dec.S
+        assert abs(determinant(dec.U)) == abs(determinant(dec.V)) == 1
+
+    @pytest.mark.parametrize("shape", ["square", "wide", "tall"])
+    def test_witness_bits_within_hadamard_multiple(self, shape):
+        # every k x k minor of a matrix with |entries| <= B is at most
+        # (B sqrt k)^k, so ceil(k log2(B sqrt k)) + 1 bits hold any of them
+        rng = random.Random(f"witness-bits-{shape}")
+        bound = 100
+        for n in range(3, 25, 3):
+            m = {"square": n, "wide": n - 2, "tall": n + 2}[shape]
+            a = random_matrix(rng, m, n, bound)
+            dec = smith_normal_form(a)
+            assert dec.U @ a @ dec.V == dec.S
+            k = min(m, n)
+            hadamard = math.ceil(k * math.log2(bound * math.sqrt(k))) + 1
+            assert max_bits(dec.U, dec.V) <= 8 * hadamard, (m, n)
+
+    def test_tracked_inverse_of_v(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            m, n = rng.randint(0, 7), rng.randint(0, 7)
+            a = random_matrix(rng, m, n, rng.choice((1, 3, 50)))
+            if m > 1 and rng.random() < 0.3:
+                a = IntMatrix.from_rows(a.entries[:-1] + (a.entries[0],), n)
+            dec, v_inv = _smith(a, track_inverse=True)
+            assert dec.U @ a @ dec.V == dec.S
+            assert dec.V @ v_inv == IntMatrix.identity(n)
+            assert v_inv @ dec.V == IntMatrix.identity(n)
+
+    def test_factors_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+        rng = random.Random(31)
+        for _ in range(40):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            a = random_matrix(rng, m, n, rng.choice((2, 9, 100)))
+            if m > 1 and rng.random() < 0.3:
+                a = IntMatrix.from_rows(a.entries[:-1] + (a.entries[0],), n)
+            want = tuple(abs(int(x)) for x in
+                         sympy_factors(sympy.Matrix(a.to_lists()), domain=sympy.ZZ) if x)
+            assert smith_normal_form(a).factors == want
+            assert invariant_factors(a) == want
+
+
+class TestInverseUnimodular:
+    def test_inverse(self):
+        rng = random.Random(41)
+        for n in (1, 2, 5, 12):
+            u = random_unimodular(n, rng, steps=4 * n)
+            inv = inverse_unimodular(u)
+            assert u @ inv == IntMatrix.identity(n)
+            assert inv @ u == IntMatrix.identity(n)
+
+    @pytest.mark.parametrize("rows", [[[2, 0], [0, 1]], [[1, 2], [2, 4]], [[1, 0, 0]]])
+    def test_rejects_non_unimodular(self, rows):
+        with pytest.raises(NotUnimodular):
+            inverse_unimodular(IntMatrix.from_rows(rows))
 
 
 def random_unimodular(n, rng, steps=6):
