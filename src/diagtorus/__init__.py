@@ -29,6 +29,7 @@ from .diag import (
     IsoType,
     aut3_torus_canonical,
     codim1_canonical,
+    codim1_conjugator,
     conjugate_in_crn,
     conjugate_in_gl,
     crn_canonical,

@@ -60,9 +60,7 @@ def stabilizer(weights, zeros) -> IsoType:
     restricted = [weights[i - 1] for i in sorted(zeros)]
     if not any(restricted):
         return IsoType(len(restricted), ())
-    g = 0
-    for x in restricted:
-        g = gcd(g, x)
+    g = gcd(*restricted)
     return IsoType(len(restricted) - 1, (g,) if g > 1 else ())
 
 

@@ -161,10 +161,9 @@ def _cmd_conjugate(args):
         raise UsageError("--group autn-codim1 expects single-row weight matrices")
     ok = diag.codim1_canonical(a.entries[0]) == diag.codim1_canonical(b.entries[0])
     witness = None
-    if ok and a.cols <= 8:
-        rel = oracle.perm_sign_exhaust(a.entries[0], b.entries[0])
-        if rel is not None:
-            witness = {"permutation": _perm_1based(rel[0]), "sign": rel[1]}
+    if ok:
+        sigma, eps = diag.codim1_conjugator(a.entries[0], b.entries[0])
+        witness = {"permutation": _perm_1based(sigma), "sign": eps}
     return ok, witness
 
 

@@ -160,28 +160,51 @@ def codim1_canonical(weights):
     return min(up, down)
 
 
+def codim1_conjugator(weights, other):
+    """Witness (sigma, eps) with weights[j] == eps * other[sigma[j]] for all
+    j, or None: the permutation-with-sign relating two codimension-one
+    subgroups.
+
+    For each sign, position j takes the smallest unused k with
+    other[k] == eps * weights[j]; this greedy stable matching is the
+    lexicographically least sigma for that sign.  The lex-least of the two
+    is returned, eps = 1 on ties.
+    """
+    weights = tuple(int(x) for x in weights)
+    other = tuple(int(x) for x in other)
+    if len(weights) != len(other):
+        raise DimensionMismatch("weight vectors have different lengths")
+    found = []
+    for eps in (1, -1):
+        free: dict[int, list[int]] = {}
+        for k in reversed(range(len(other))):
+            free.setdefault(other[k], []).append(k)
+        sigma = []
+        for x in weights:
+            ks = free.get(eps * x)
+            if not ks:
+                break
+            sigma.append(ks.pop())
+        else:
+            found.append((tuple(sigma), eps))
+    return min(found, key=lambda f: f[0], default=None)
+
+
 def crn_codim1_canonical(weights):
     """Canonical birational representative of a codimension-one subgroup:
     the kernel of the d-th power of the last coordinate character, d = gcd."""
     weights = tuple(int(x) for x in weights)
     if not any(weights):
         raise ZeroVector("weight vector must be nonzero")
-    d = 0
-    for x in weights:
-        d = gcd(d, x)
-    return tuple(0 for _ in weights[:-1]) + (d,)
+    return tuple(0 for _ in weights[:-1]) + (gcd(*weights),)
 
 
 def torus_equal_1dim(weights, other) -> bool:
     """Equality of one-dimensional subtori given by primitive weight vectors."""
     weights = tuple(int(x) for x in weights)
     other = tuple(int(x) for x in other)
-    for v in (weights, other):
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        if g != 1:
-            raise NotPrimitive("entries must have gcd 1")
+    if gcd(*weights) != 1 or gcd(*other) != 1:
+        raise NotPrimitive("entries must have gcd 1")
     return weights == other or weights == tuple(-x for x in other)
 
 
@@ -193,9 +216,6 @@ def aut3_torus_canonical(weights):
         raise DimensionMismatch("expected a 3-vector")
     if not any(weights):
         raise ZeroVector("weight vector must be nonzero")
-    g = 0
-    for x in weights:
-        g = gcd(g, x)
-    if g != 1:
+    if gcd(*weights) != 1:
         raise NotPrimitive("entries must have gcd 1")
     return codim1_canonical(weights)

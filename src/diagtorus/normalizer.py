@@ -10,11 +10,10 @@ certified subgroup of the true normalizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from math import factorial
 
 from .diag import DiagSubgroup, subgroups_equal
-from .lattice import contains, lattice_of
-from .intmat import IntMatrix
+from .errors import TooLarge
 
 FULL_TORUS = "full_torus"
 AXIS = "axis"
@@ -22,6 +21,10 @@ SAME_SIGN_ALL_NONZERO = "same_sign_all_nonzero"
 NO_UNIT_WEIGHTS = "no_unit_weights"
 ZERO_AND_UNIT_SAME_SIGN = "zero_and_unit_same_sign"
 MIXED_SIGNS = "mixed_signs"
+
+# normalizer elements monomial_normalizer may list before giving up: a
+# listing costs about 0.5 kB of memory per element, so 10**5 stays near 50 MB
+_LIST_BUDGET = 10**5
 
 
 @dataclass(frozen=True)
@@ -69,41 +72,71 @@ def monomial_normalizer(weights):
     """All (sigma, eps) in S_n x {+-1} with (l_sigma(1), ..., l_sigma(n)) = eps * l.
 
     These are exactly the permutation parts of monomial transformations that
-    normalize the subgroup.  Permutations are 0-based image tuples.  The
-    returned element list generates (indeed equals) the group.
+    normalize the subgroup.  Permutations are 0-based image tuples, sorted
+    lexicographically, with eps = 1 before eps = -1.  The returned element
+    list generates (indeed equals) the group.
+
+    The elements are built position by position: sigma(j) runs over the
+    unused k with l_k = eps * l_j, for the signs still possible, so the work
+    follows the size of the group.  Its order is computed first, and a group
+    of more than _LIST_BUDGET elements raises TooLarge.
     """
     weights = tuple(int(x) for x in weights)
     n = len(weights)
-    neg = tuple(-x for x in weights)
+    # a sign-reversing element exists iff l and -l agree up to permutation
+    signs = (1, -1) if sorted(weights) == sorted(-x for x in weights) else (1,)
+    order = len(signs)
+    for x in set(weights):
+        order *= factorial(weights.count(x))
+    if order > _LIST_BUDGET:
+        raise TooLarge(f"normalizer has {order} elements, over the listing budget")
+    # the k that position j may map to, with the signs that allow each
+    cands = [[(k, fits) for k, y in enumerate(weights)
+              if (fits := tuple(e for e in signs if y == e * x))]
+             for x in weights]
     out = []
-    for sigma in permutations(range(n)):
-        image = tuple(weights[sigma[j]] for j in range(n))
-        if image == weights:
-            out.append((sigma, 1))
-        if image == neg:
-            out.append((sigma, -1))
+    sigma: list[int] = []
+    used = [False] * n
+
+    def extend(live) -> None:
+        j = len(sigma)
+        if j == n:
+            out.extend((tuple(sigma), eps) for eps in live)
+            return
+        for k, fits in cands[j]:
+            if used[k]:
+                continue
+            if len(live) == 1:
+                if live[0] not in fits:
+                    continue
+                fits = live
+            sigma.append(k)
+            used[k] = True
+            extend(fits)
+            used[k] = False
+            sigma.pop()
+
+    extend(signs)
     return tuple(out)
 
 
 def monomial_centralizer(weights):
     """Permutations acting trivially on the subgroup: sigma such that
-    e_i - e_sigma(i) lies in the weight lattice for every i."""
+    e_i - e_sigma(i) lies in the weight lattice for every i.
+
+    A moved point i forces e_i - e_sigma(i) = c * l, and that vector is
+    primitive, so l = +-(e_a - e_b) and sigma is the transposition (a b).
+    Any other l admits only the identity.
+    """
     weights = tuple(int(x) for x in weights)
-    n = len(weights)
-    lat = lattice_of(IntMatrix.from_rows([weights], n))
-    out = []
-    for sigma in permutations(range(n)):
-        ok = True
-        for i in range(n):
-            diff = [0] * n
-            diff[i] += 1
-            diff[sigma[i]] -= 1
-            if any(diff) and not contains(lat, diff):
-                ok = False
-                break
-        if ok:
-            out.append(sigma)
-    return tuple(out)
+    ident = tuple(range(len(weights)))
+    support = [i for i, x in enumerate(weights) if x]
+    if len(support) == 2 and sorted(weights[i] for i in support) == [-1, 1]:
+        a, b = support
+        swap = list(ident)
+        swap[a], swap[b] = b, a
+        return ident, tuple(swap)
+    return (ident,)
 
 
 def normalizer_report(weights) -> NormalizerReport:

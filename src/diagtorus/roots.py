@@ -10,7 +10,6 @@ stored via the representative whose minimum entry is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import comb
 
 DN = "Dn"
@@ -44,12 +43,18 @@ def enumerate_root_vectors(n: int, max_degree: int) -> list[RootVector]:
     order of (i, l)."""
     if n < 1 or max_degree < 0:
         raise ValueError("need n >= 1 and max_degree >= 0")
-    out = []
-    for i in range(1, n + 1):
-        for l in product(range(max_degree + 1), repeat=n):
-            if l[i - 1] == 0 and sum(l) <= max_degree:
-                out.append(RootVector(i, l))
-    return out
+    rest = _bounded_tuples(n - 1, max_degree)
+    return [RootVector(i, l[:i - 1] + (0,) + l[i - 1:])
+            for i in range(1, n + 1) for l in rest]
+
+
+def _bounded_tuples(k: int, bound: int) -> list[tuple[int, ...]]:
+    """All nonnegative k-tuples with sum at most bound, in lexicographic
+    order.  Inserting the zero exponent at a fixed position keeps the order."""
+    level = [((), bound)]
+    for _ in range(k):
+        level = [(t + (x,), left - x) for t, left in level for x in range(left + 1)]
+    return [t for t, _ in level]
 
 
 def root_of(rv: RootVector, relative_to: str = DN) -> Root:

@@ -77,6 +77,13 @@ class TestGoldenOutputs:
         assert code == 0
         assert out == golden(True, {"permutation": [2, 1], "sign": -1})
 
+    def test_conjugate_codim1_witness_past_n8(self, capsys):
+        a = " ".join(str(x) for x in range(1, 11))
+        b = " ".join(str(-x) for x in reversed(range(1, 11)))
+        code, out = run(capsys, "conjugate", "--group", "autn-codim1", "--a", a, "--b", b)
+        assert code == 0
+        assert out == golden(True, {"permutation": list(range(10, 0, -1)), "sign": -1})
+
     def test_canonical_codim1(self, capsys):
         code, out = run(capsys, "canonical", "--context", "autn-codim1",
                         "--weights", "1 0")

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations, product
 from math import gcd
 
 import pytest
@@ -9,6 +10,7 @@ from diagtorus import (
     IsoType,
     aut3_torus_canonical,
     codim1_canonical,
+    codim1_conjugator,
     conjugate_in_crn,
     conjugate_in_gl,
     crn_canonical,
@@ -181,6 +183,34 @@ class TestCanonicalForms:
                 continue
             same = codim1_canonical(other) == codim1_canonical(l)
             assert same == (perm_sign_exhaust(l, other) is not None)
+
+    def test_codim1_conjugator_equals_exhaustive_search(self):
+        # every pair (l, eps * l o sigma) with n <= 5 and entries of l in
+        # {-1, 0, 2}: zeros, repeats and vectors with and without a sign
+        # symmetry
+        for n in range(1, 6):
+            for l in product((-1, 0, 2), repeat=n):
+                images = {tuple(eps * l[s[j]] for j in range(n))
+                          for s in permutations(range(n)) for eps in (1, -1)}
+                for other in images:
+                    assert codim1_conjugator(l, other) == perm_sign_exhaust(l, other)
+
+    def test_codim1_conjugator_unrelated_and_large(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            l = tuple(rng.randint(-2, 2) for _ in range(n))
+            other = tuple(rng.randint(-2, 2) for _ in range(n))
+            assert codim1_conjugator(l, other) == perm_sign_exhaust(l, other)
+        l = tuple(rng.randint(-3, 3) for _ in range(40))
+        sigma = tuple(rng.sample(range(40), 40))
+        other = [0] * 40
+        for j in range(40):
+            other[sigma[j]] = -l[j]
+        got, eps = codim1_conjugator(l, other)
+        assert all(l[j] == eps * other[got[j]] for j in range(40))
+        with pytest.raises(DimensionMismatch):
+            codim1_conjugator((1, 2), (1, 2, 3))
 
     def test_crn_codim1_canonical(self):
         assert crn_codim1_canonical((2, 4)) == (0, 2)

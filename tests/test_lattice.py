@@ -1,7 +1,10 @@
 import random
+import time
+from itertools import permutations
 
 import pytest
 
+from diagtorus import lattice
 from diagtorus import (
     IntMatrix,
     contains,
@@ -11,7 +14,8 @@ from diagtorus import (
     pluecker_equal,
     transform,
 )
-from diagtorus.errors import DimensionMismatch, NotUnimodular
+from diagtorus.cli import main
+from diagtorus.errors import DimensionMismatch, NotUnimodular, TooLarge
 from diagtorus.oracle import lattice_equal_bounded
 
 
@@ -143,3 +147,171 @@ class TestPermutedEqual:
             permuted = IntMatrix(b.rows, n, tuple(tuple(row[k] for k in got)
                                                   for row in b.entries))
             assert equal(lattice_of(permuted), lattice_of(a))
+
+
+def lex_least_permutation(a, b):
+    """Reference for permuted_equal: scan S_n in lexicographic order and
+    compare Hermite bases at every leaf."""
+    target = lattice_of(a)
+    for p in permutations(range(a.cols)):
+        permuted = IntMatrix(b.rows, b.cols, tuple(tuple(row[k] for k in p)
+                                                   for row in b.entries))
+        if equal(lattice_of(permuted), target):
+            return p
+    return None
+
+
+def _mat(rows, n):
+    return IntMatrix.from_rows(rows, n)
+
+
+def _shuffled(rng, rows, n):
+    """Columns permuted at random, then a few random row operations."""
+    p = rng.sample(range(n), n)
+    out = [[row[p[j]] for j in range(n)] for row in rows]
+    for _ in range(3):
+        if len(out) > 1:
+            i, k = rng.sample(range(len(out)), 2)
+            c = rng.randint(-2, 2)
+            out[i] = [x + c * y for x, y in zip(out[i], out[k])]
+    return out
+
+
+def _kernel_of_weights(v):
+    # rows e_j - v_j e_1 span the kernel of a weight vector with v_1 = 1
+    n = len(v)
+    return [[-v[j] if k == 0 else int(k == j) for k in range(n)] for j in range(1, n)]
+
+
+def _congruence(c, m):
+    # rows spanning {x : c.x = 0 (mod m)}, for c with c_1 a unit mod m
+    n = len(c)
+    inv = pow(c[0], -1, m)
+    return [[m] + [0] * (n - 1)] + [[-c[j] * inv % m if k == 0 else int(k == j)
+                                     for k in range(n)] for j in range(1, n)]
+
+
+class TestPermutedEqualMatchesBruteForce:
+    def test_random_pairs(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            m = rng.randint(0, n)
+            a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+            kind = rng.randrange(3)
+            if kind == 0:
+                b = _shuffled(rng, a, n)
+            elif kind == 1:
+                b = _shuffled(rng, a, n)
+                if m:
+                    b[rng.randrange(m)][rng.randrange(n)] += rng.choice((-1, 1))
+            else:
+                b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+            a, b = _mat(a, n), _mat(b, n)
+            assert permuted_equal(a, b) == lex_least_permutation(a, b), (a, b)
+
+    def test_rank_n_minus_1_family(self):
+        # every prefix projection of these lattices is all of Z^j, so only
+        # the kernel side prunes
+        rng = random.Random(31)
+        for n in range(2, 6):
+            for _ in range(6):
+                v = [1] + [rng.randint(-3, 3) for _ in range(n - 1)]
+                w = [1] + rng.sample(v[1:], n - 1)
+                if rng.random() < 0.5:
+                    w[rng.randrange(1, n)] += 1
+                a, b = _mat(_kernel_of_weights(v), n), _mat(_kernel_of_weights(w), n)
+                assert permuted_equal(a, b) == lex_least_permutation(a, b), (v, w)
+
+    def test_mid_rank_family(self):
+        # [I | X] against [I | X'] with X' a small change of X
+        rng = random.Random(37)
+        for n in range(3, 6):
+            for r in range(1, n):
+                for _ in range(4):
+                    x = [[rng.randint(-2, 2) for _ in range(n - r)] for _ in range(r)]
+                    a = [[int(i == j) for j in range(r)] + x[i] for i in range(r)]
+                    b = [row[:] for row in a]
+                    if rng.random() < 0.5:
+                        b[rng.randrange(r)][rng.randrange(r, n)] += rng.choice((-1, 1))
+                    b = _shuffled(rng, b, n)
+                    a, b = _mat(a, n), _mat(b, n)
+                    assert permuted_equal(a, b) == lex_least_permutation(a, b), (a, b)
+
+    def test_full_rank_index_family(self):
+        # {x : c.x = 0 (mod m)} projects onto all of Z^j and has no kernel,
+        # so only the annihilator mod m prunes
+        rng = random.Random(41)
+        for n in range(2, 6):
+            for m in (2, 3, 5):
+                c = [1] + [rng.randrange(m) for _ in range(n - 1)]
+                d = [1] + rng.sample(c[1:], n - 1)
+                if rng.random() < 0.5:
+                    d[rng.randrange(1, n)] = rng.randrange(m)
+                a, b = _mat(_congruence(c, m), n), _mat(_congruence(d, m), n)
+                assert permuted_equal(a, b) == lex_least_permutation(a, b), (c, d, m)
+
+
+    def test_repeated_column_family(self):
+        # few distinct columns, so many column swaps fix the lattice and the
+        # search skips the twins of a failed column
+        rng = random.Random(43)
+        for _ in range(150):
+            n = rng.randint(2, 6)
+            m = rng.randint(1, n)
+            kinds = [[rng.randint(-1, 2) for _ in range(m)] for _ in range(rng.randint(1, 3))]
+            cols = [rng.choice(kinds) for _ in range(n)]
+            a = [[col[i] for col in cols] for i in range(m)]
+            b = _shuffled(rng, a, n)
+            if rng.random() < 0.5:
+                b[rng.randrange(m)][rng.randrange(n)] += rng.choice((-1, 1))
+            a, b = _mat(a, n), _mat(b, n)
+            assert permuted_equal(a, b) == lex_least_permutation(a, b), (a, b)
+
+
+class TestPermutedEqualCost:
+    def _timed(self, a, b):
+        t0 = time.perf_counter()
+        out = permuted_equal(IntMatrix.from_rows(a), IntMatrix.from_rows(b))
+        return out, time.perf_counter() - t0
+
+    def test_all_gcd_one_pair_n9(self):
+        n = 9
+        out, secs = self._timed([[1] * n, list(range(n))],
+                                [[1] * n, list(range(n - 1)) + [n]])
+        assert out is None and secs < 1.0
+
+    def test_rank_n_minus_1_pair_n9(self):
+        n = 9
+        out, secs = self._timed(_kernel_of_weights(list(range(1, n + 1))),
+                                _kernel_of_weights(list(range(1, n)) + [n + 1]))
+        assert out is None and secs < 1.0
+
+    def test_full_rank_index_pair_n9(self):
+        out, secs = self._timed(_congruence([1, 2, 3, 4, 1, 2, 3, 4, 1], 5),
+                                _congruence([1, 1, 3, 4, 1, 2, 3, 4, 1], 5))
+        assert out is None and secs < 1.0
+
+    def test_repeated_weight_families_n9(self):
+        # every column gcd and invariant factor is 1 and every prefix row
+        # projection is Z^j; the columns of weight 1 are interchangeable
+        n = 9
+        ones = _kernel_of_weights([1] * n)
+        for w, want in [([1] * (n - 1) + [2], None),
+                        ([1] * (n - 1) + [-1], None),
+                        ([1, 2] + [1] * (n - 2), None)]:
+            out, secs = self._timed(ones, _kernel_of_weights(w))
+            assert out == want and secs < 1.0, w
+        out, secs = self._timed(_kernel_of_weights([1] * (n - 1) + [2]),
+                                _kernel_of_weights([1, 2] + [1] * (n - 2)))
+        assert out == (0,) + tuple(range(2, n)) + (1,) and secs < 1.0
+
+    def test_node_budget(self, monkeypatch, capsys):
+        # the match (5, 4, ..., 0) needs at least 6 partial assignments
+        monkeypatch.setattr(lattice, "_NODE_BUDGET", 3)
+        a, b = "1 1 1 1 1 1; 0 1 2 3 4 7", "1 1 1 1 1 1; 7 4 3 2 1 0"
+        with pytest.raises(TooLarge):
+            permuted_equal(IntMatrix.from_rows([[1] * 6, [0, 1, 2, 3, 4, 7]]),
+                           IntMatrix.from_rows([[1] * 6, [7, 4, 3, 2, 1, 0]]))
+        assert main(["conjugate", "--group", "gln", "--a", a, "--b", b]) == 2
+        assert '"error":"TooLarge"' in capsys.readouterr().out

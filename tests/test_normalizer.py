@@ -1,8 +1,12 @@
-from itertools import product
+import time
+from itertools import permutations, product
 from math import factorial
 
 import pytest
 
+from diagtorus import IntMatrix, contains, lattice_of, normalizer
+from diagtorus.cli import main
+from diagtorus.errors import TooLarge
 from diagtorus.normalizer import (
     AXIS,
     FULL_TORUS,
@@ -152,3 +156,65 @@ class TestReports:
         for l in [(1, 1, 1), (0, 0), (1, -1), (1, 2, 0)]:
             rep = normalizer_report(l)
             assert rep.perm_order == len(rep.perm_part)
+
+
+def normalizer_by_scan(l):
+    """Reference: every (sigma, eps) in S_n x {+-1}, in scan order."""
+    n = len(l)
+    neg = tuple(-x for x in l)
+    out = []
+    for sigma in permutations(range(n)):
+        image = tuple(l[sigma[j]] for j in range(n))
+        if image == l:
+            out.append((sigma, 1))
+        if image == neg:
+            out.append((sigma, -1))
+    return tuple(out)
+
+
+def centralizer_by_scan(l):
+    """Reference: every sigma with e_i - e_sigma(i) in the weight lattice."""
+    n = len(l)
+    lat = lattice_of(IntMatrix.from_rows([l], n))
+    out = []
+    for sigma in permutations(range(n)):
+        diffs = ([int(k == i) - int(k == sigma[i]) for k in range(n)] for i in range(n))
+        if all(not any(d) or contains(lat, d) for d in diffs):
+            out.append(sigma)
+    return tuple(out)
+
+
+class TestAgainstScan:
+    def test_every_small_vector(self):
+        for n in range(1, 6):
+            for l in product(range(-2, 3), repeat=n):
+                assert monomial_normalizer(l) == normalizer_by_scan(l), l
+                assert monomial_centralizer(l) == centralizer_by_scan(l), l
+
+    def test_order_is_closed_form(self):
+        for l in [(1,) * 6, (1, 1, -1, -1, 0), (2, 2, 3, -1), (0, 0, 0)]:
+            order = 2 if sorted(l) == sorted(-x for x in l) else 1
+            for x in set(l):
+                order *= factorial(l.count(x))
+            assert normalizer_report(l).perm_order == order
+
+
+class TestBudget:
+    def test_baseline_case_is_fast(self):
+        t0 = time.perf_counter()
+        rep = normalizer_report((1,) * 8 + (-1,))
+        assert time.perf_counter() - t0 < 1.0
+        assert rep.perm_order == factorial(8)
+
+    def test_over_budget_raises_before_listing(self, monkeypatch):
+        monkeypatch.setattr(normalizer, "_LIST_BUDGET", 100)
+        assert normalizer_report((1, 1, 1, 2, 2)).perm_order == 12
+        with pytest.raises(TooLarge):
+            normalizer_report((1, 1, 1, 1, 1))
+
+    def test_cli_exits_2_over_budget(self, capsys):
+        # 12! elements: refused from the order alone, without enumerating
+        t0 = time.perf_counter()
+        assert main(["normalizer", "--weights", " ".join(["1"] * 12)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert '"error":"TooLarge"' in capsys.readouterr().out

@@ -1,6 +1,10 @@
+import json
+import time
 from itertools import permutations, product
 
 import pytest
+
+from diagtorus.cli import main
 
 from diagtorus.roots import (
     DN,
@@ -46,6 +50,24 @@ class TestEnumeration:
         assert len(set(out)) == len(out)
         for rv in out:
             assert sum(rv.l) <= 2
+
+    def test_equals_product_filter(self):
+        for n in range(1, 7):
+            for d in range(5):
+                want = [(i, l) for i in range(1, n + 1)
+                        for l in product(range(d + 1), repeat=n)
+                        if l[i - 1] == 0 and sum(l) <= d]
+                assert [(rv.i, rv.l) for rv in enumerate_root_vectors(n, d)] == want
+
+    def test_long_vectors_of_degree_0(self):
+        out = enumerate_root_vectors(1200, 0)
+        assert [(rv.i, sum(rv.l)) for rv in out] == [(i, 0) for i in range(1, 1201)]
+
+    def test_cost_follows_output(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["roots", "--dim", "14", "--degree", "2"]) == 0
+        assert time.perf_counter() - t0 < 1.0
+        assert len(json.loads(capsys.readouterr().out)["result"]) == 1470
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
