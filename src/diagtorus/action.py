@@ -124,58 +124,21 @@ def limit_pattern(weights, zeros, d):
     return zeros | frozenset(j for j in outside if d[j - 1] > 0)
 
 
-def _one_step_zeroing(weights, zeros):
-    """A one-parameter subgroup exponent vector that zeroes every coordinate
-    which any single limit from this pattern can zero, or None."""
-    n = len(weights)
-    outside = [j for j in range(1, n + 1) if j not in zeros]
-    if not outside:
-        return None
-    anchor = next((k for k in sorted(zeros) if weights[k - 1]), None)
-    pos = any(weights[j - 1] > 0 for j in outside)
-    neg = any(weights[j - 1] < 0 for j in outside)
-    d = [0] * n
-    if anchor is not None or (pos and neg):
-        if anchor is not None:
-            # balance everything outside against the anchored coordinate
-            la = weights[anchor - 1]
-            for j in outside:
-                d[j - 1] = abs(la)
-            total = sum(abs(la) * weights[j - 1] for j in outside)
-            d[anchor - 1] = -total // la
-            return tuple(d)
-        # mixed signs outside: pair positives against negatives
-        p = sum(weights[j - 1] for j in outside if weights[j - 1] > 0)
-        q = -sum(weights[j - 1] for j in outside if weights[j - 1] < 0)
-        for j in outside:
-            d[j - 1] = q if weights[j - 1] > 0 else p if weights[j - 1] < 0 else max(p, q, 1)
-        if sum(d[j - 1] * weights[j - 1] for j in outside):
-            raise AssertionError("mixed-sign balancing failed")
-        return tuple(d)
-    freeable = [j for j in outside if weights[j - 1] == 0]
-    if not freeable:
-        return None
-    for j in freeable:
-        d[j - 1] = 1
-    return tuple(d)
-
-
 def origin_in_closure(weights, zeros) -> bool:
-    """Whether the orbit closure through the pattern contains the origin,
-    found by greedily iterating one-parameter-subgroup limits."""
+    """Whether the orbit closure through the pattern contains the origin.
+
+    By the Hilbert-Mumford criterion it does iff one one-parameter subgroup
+    t^d (<d, l> = 0) has d_j > 0 at every coordinate off the pattern, since
+    its limit then vanishes everywhere.  The coordinates on the pattern are
+    free, so a nonzero weight there balances any such d; without one, the
+    weights off the pattern must pair to zero against positive exponents,
+    which happens iff they are all zero or mix signs.
+    """
     weights, zeros = _check(weights, zeros)
-    n = len(weights)
-    full = frozenset(range(1, n + 1))
-    current = zeros
-    while current != full:
-        d = _one_step_zeroing(weights, current)
-        if d is None:
-            return False
-        nxt = limit_pattern(weights, current, d)
-        if nxt is None or nxt == current:
-            return False
-        current = nxt
-    return True
+    outside = [weights[j - 1] for j in range(1, len(weights) + 1) if j not in zeros]
+    if not outside or any(weights[i - 1] for i in zeros):
+        return True
+    return not any(outside) or min(outside) < 0 < max(outside)
 
 
 def orbit_report(weights, zeros) -> OrbitReport:

@@ -104,7 +104,14 @@ def _get_matrix(args, flag: str) -> IntMatrix:
     return _parse_matrix_text(text)
 
 
-def _add_matrix_arg(p, flag: str, required: bool = False):
+def _get_subgroup(args) -> diag.DiagSubgroup:
+    """The subgroup of --weights, or else of the --matrix input."""
+    if args.weights is not None:
+        return diag.DiagSubgroup.from_weights(_parse_vector(args.weights))
+    return diag.DiagSubgroup.from_matrix(_get_matrix(args, "matrix"))
+
+
+def _add_matrix_arg(p, flag: str):
     p.add_argument(f"--{flag}", help="matrix literal, rows separated by ';'")
     p.add_argument(f"--{flag}-json", help="matrix as a JSON object")
     if flag == "matrix":
@@ -131,11 +138,7 @@ def _cmd_lattice_equal(args):
 
 
 def _cmd_isotype(args):
-    if args.weights is not None:
-        g = diag.DiagSubgroup.from_weights(_parse_vector(args.weights))
-    else:
-        g = diag.DiagSubgroup.from_matrix(_get_matrix(args, "matrix"))
-    t = diag.iso_type(g)
+    t = diag.iso_type(_get_subgroup(args))
     return {"torus_rank": t.torus_rank, "factors": list(t.factors),
             "dimension": t.torus_rank, "order": t.order}, None
 
@@ -238,11 +241,7 @@ def _cmd_roots(args):
 
 
 def _cmd_oracle_torsion(args):
-    if args.weights is not None:
-        g = diag.DiagSubgroup.from_weights(_parse_vector(args.weights))
-    else:
-        g = diag.DiagSubgroup.from_matrix(_get_matrix(args, "matrix"))
-    return oracle.torsion_count(g, args.modulus), None
+    return oracle.torsion_count(_get_subgroup(args), args.modulus), None
 
 
 def _cmd_oracle_lattice_equal(args):

@@ -10,10 +10,10 @@ explicit witnesses and canonical forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .errors import DimensionMismatch, NotPrimitive, ZeroVector
-from .intmat import IntMatrix, _smith, smith_normal_form
+from .intmat import IntMatrix, _smith, invariant_factors, smith_normal_form
 from .lattice import RowLattice, equal, lattice_of, permuted_equal
 
 
@@ -52,12 +52,7 @@ class IsoType:
 
     @property
     def order(self) -> int | None:
-        if not self.is_finite:
-            return None
-        out = 1
-        for d in self.factors:
-            out *= d
-        return out
+        return prod(self.factors) if self.is_finite else None
 
 
 @dataclass(frozen=True)
@@ -78,8 +73,6 @@ def dimension(g: DiagSubgroup) -> int:
 
 
 def iso_type(g: DiagSubgroup) -> IsoType:
-    from .intmat import invariant_factors
-
     facs = invariant_factors(g.lattice.basis)
     return IsoType(g.ambient_dim - g.lattice.rank,
                    tuple(d for d in facs if d > 1))

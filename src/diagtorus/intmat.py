@@ -1,8 +1,10 @@
 """Exact integer matrix arithmetic.
 
 Smith normal form with unimodular witnesses, row-style Hermite reduction,
-rank, determinants, and maximal minors.  Everything runs on Python's
-arbitrary-precision integers; there is no floating point anywhere.
+rank, determinants, and maximal minors.  One Hermite pass serves every
+elimination, and one alternation of those passes serves the Smith form with
+and without witnesses.  Everything runs on Python's arbitrary-precision
+integers; there are no fractions and no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -81,12 +83,10 @@ def determinant(a: IntMatrix) -> int:
     if not a.is_square():
         raise ValueError("determinant of a non-square matrix")
     n = a.rows
-    if n == 0:
-        return 1
     m = a.to_lists()
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if m[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
             if pivot is None:
@@ -98,7 +98,7 @@ def determinant(a: IntMatrix) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign * prev
 
 
 def is_unimodular(a: IntMatrix) -> bool:
@@ -191,13 +191,16 @@ def _is_diagonal(a: list[list[int]]) -> bool:
     return not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(a))
 
 
-def _smith(a: IntMatrix, track_inverse: bool):
-    """Smith form with witnesses, and V^-1 when track_inverse is set.
+def _diagonalize(rows, u, vt, vinv) -> list[int]:
+    """Nonzero Smith diagonal of the m x n matrix rows, in divisibility
+    order; u and vt receive the row and column operations in place.
 
     Row and column Hermite passes alternate until the matrix is diagonal.
-    The row pass carries U; the column pass is the row pass on the
-    transpose and carries V^T, mirroring each step on V^-1.  Reducing the
-    entries above each pivot keeps U and V small.
+    The row pass carries the rows of u; the column pass is the row pass on
+    the transpose and carries the rows of vt, mirroring each step on vinv
+    when it is not None.  Witness rows may be zero-width, which leaves the
+    factors alone.  Reducing the entries above each pivot keeps the
+    witnesses small.
 
     The passes terminate: from the second pass on, entry (0, 0) is positive
     and is the gcd of the column (row pass) or row (column pass) through it,
@@ -205,20 +208,16 @@ def _smith(a: IntMatrix, track_inverse: bool):
     clears its row and column exactly, and later passes never touch them
     again.  The same argument then applies to the trailing submatrix.
     """
-    m, n = a.rows, a.cols
-    rows = a.to_lists()
-    u = _identity_lists(m)
-    vt = _identity_lists(n)
-    vinv = _identity_lists(n) if track_inverse else None
+    m, n = len(rows), len(vt)
     while True:
         work = [x + y for x, y in zip(rows, u)]
         _hermite_pass(work, n)
-        rows, u = [w[:n] for w in work], [w[n:] for w in work]
+        rows, u[:] = [w[:n] for w in work], [w[n:] for w in work]
         if _is_diagonal(rows):
             break
         work = [list(c) + v for c, v in zip(zip(*rows), vt)]
         _hermite_pass(work, m, vinv)
-        vt = [w[m:] for w in work]
+        vt[:] = [w[m:] for w in work]
         rows = [list(row) for row in zip(*(w[:m] for w in work))]
         if _is_diagonal(rows):
             break
@@ -227,10 +226,9 @@ def _smith(a: IntMatrix, track_inverse: bool):
     # 2 x 2 unimodular transforms taking diag(x, y) to diag(gcd, lcm):
     # L = [[s, t], [-y/g, x/g]] on the left, R = [[1, -t*y/g], [1, s*x/g]]
     # on the right, and R^-1 = [[s*x/g, t*y/g], [-1, 1]] on V^-1.
-    d = [rows[i][i] for i in range(min(m, n))]
-    r = sum(1 for x in d if x)
-    for i in range(r):
-        for j in range(i + 1, r):
+    d = [rows[i][i] for i in range(min(m, n)) if rows[i][i]]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
             x, y = d[i], d[j]
             if y % x:
                 g = gcd(x, y)
@@ -242,12 +240,22 @@ def _smith(a: IntMatrix, track_inverse: bool):
                 _mix(vt, i, j, 1, 1, -t * yg, s * xg)
                 if vinv is not None:
                     _mix(vinv, i, j, s * xg, t * yg, -1, 1)
-    S = IntMatrix(m, n, tuple(tuple(d[i] if i == j else 0 for j in range(n))
-                              for i in range(m)))
+    return d
+
+
+def _smith(a: IntMatrix, track_inverse: bool):
+    """Smith form with witnesses, and V^-1 when track_inverse is set."""
+    m, n = a.rows, a.cols
+    u = _identity_lists(m)
+    vt = _identity_lists(n)
+    vinv = _identity_lists(n) if track_inverse else None
+    d = _diagonalize(a.to_lists(), u, vt, vinv)
+    S = IntMatrix(m, n, tuple(tuple(d[i] if i == j and i < len(d) else 0
+                                    for j in range(n)) for i in range(m)))
     U = IntMatrix(m, m, tuple(tuple(row) for row in u))
     V = IntMatrix(n, n, tuple(zip(*vt)))
     Vinv = None if vinv is None else IntMatrix(n, n, tuple(tuple(row) for row in vinv))
-    return SmithDecomposition(U, S, V, tuple(d[:r])), Vinv
+    return SmithDecomposition(U, S, V, tuple(d)), Vinv
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
@@ -255,89 +263,11 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     return _smith(a, track_inverse=False)[0]
 
 
-class _Worksheet:
-    """Mutable elimination state for the factors-only Smith form."""
-
-    def __init__(self, a: IntMatrix):
-        self.a = a.to_lists()
-        self.m = a.rows
-        self.n = a.cols
-
-    def swap_rows(self, i, j):
-        self.a[i], self.a[j] = self.a[j], self.a[i]
-
-    def swap_cols(self, i, j):
-        if i == j:
-            return
-        for row in self.a:
-            row[i], row[j] = row[j], row[i]
-
-    def row_submul(self, i, j, q):
-        self.a[i] = [x - q * y for x, y in zip(self.a[i], self.a[j])]
-
-    def col_submul(self, i, j, q):
-        for row in self.a:
-            row[i] -= q * row[j]
-
-    def row_add(self, i, j):
-        self.a[i] = [x + y for x, y in zip(self.a[i], self.a[j])]
-
-    def min_pivot(self, t):
-        piv = None
-        best = None
-        for i in range(t, self.m):
-            for j in range(t, self.n):
-                x = self.a[i][j]
-                if x and (best is None or abs(x) < best):
-                    piv, best = (i, j), abs(x)
-        return piv
-
-
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors only, by min-pivot elimination without witnesses.
-
-    On small matrices this is faster than the Hermite passes of
-    smith_normal_form, and it keeps no U or V.
-    """
-    w = _Worksheet(a)
-    t = 0
-    while t < min(w.m, w.n):
-        piv = w.min_pivot(t)
-        if piv is None:
-            break
-        w.swap_rows(t, piv[0])
-        w.swap_cols(t, piv[1])
-        while True:
-            p = w.a[t][t]
-            dirty = False
-            for i in range(t + 1, w.m):
-                if w.a[i][t]:
-                    w.row_submul(i, t, w.a[i][t] // p)
-                    if w.a[i][t]:
-                        dirty = True
-            for j in range(t + 1, w.n):
-                if w.a[t][j]:
-                    w.col_submul(j, t, w.a[t][j] // p)
-                    if w.a[t][j]:
-                        dirty = True
-            if dirty:
-                piv = w.min_pivot(t)
-                w.swap_rows(t, piv[0])
-                w.swap_cols(t, piv[1])
-                continue
-            p = w.a[t][t]
-            bad = None
-            for i in range(t + 1, w.m):
-                if any(x % p for x in w.a[i][t + 1:]):
-                    bad = i
-                    break
-            if bad is None:
-                break
-            # pull a non-multiple into the working row and keep reducing;
-            # this is what enforces the divisibility chain
-            w.row_add(t, bad)
-        t += 1
-    return tuple(abs(w.a[i][i]) for i in range(t))
+    """The nonzero Smith diagonal: the same Hermite passes and chain repair
+    as smith_normal_form, carrying zero-width witnesses."""
+    return tuple(_diagonalize(a.to_lists(), [[] for _ in range(a.rows)],
+                              [[] for _ in range(a.cols)], None))
 
 
 def hermite_normal_form(a: IntMatrix) -> IntMatrix:
@@ -356,14 +286,16 @@ def rank(a: IntMatrix) -> int:
 
 
 def pluecker_coordinates(a: IntMatrix) -> dict[tuple[int, ...], int]:
-    """Maximal minors of a full-row-rank matrix, keyed by 1-based column tuples."""
+    """Maximal minors of a full-row-rank matrix, keyed by 1-based column tuples.
+
+    The rank is read off the minors themselves, not from a Hermite form: a
+    matrix has full row rank iff some maximal minor is nonzero.
+    """
     m = a.rows
-    if m == 0:
-        return {(): 1}
-    if rank(a) < m:
-        raise RankDeficient("matrix does not have full row rank")
     coords: dict[tuple[int, ...], int] = {}
     for cols in combinations(range(a.cols), m):
         sub = IntMatrix(m, m, tuple(tuple(row[j] for j in cols) for row in a.entries))
         coords[tuple(j + 1 for j in cols)] = determinant(sub)
+    if not any(coords.values()):
+        raise RankDeficient("matrix does not have full row rank")
     return coords

@@ -2,13 +2,13 @@
 
 Equality is implemented twice on purpose.  Hermite-basis comparison is the
 production path; the Pluecker-coordinate criterion is an independently coded
-cross-check, and the two must always agree on full-row-rank inputs.
+cross-check built on determinants alone, and the two must always agree on
+full-row-rank inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import DimensionMismatch, NotUnimodular, TooLarge
@@ -76,7 +76,10 @@ def pluecker_equal(a: IntMatrix, b: IntMatrix) -> bool:
 
     The two matrices must have full row rank and the same shape.  The test is:
     all Pluecker coordinates agree (possibly after a global sign flip), and for
-    one column tuple with nonzero minor the matrix B_I (A_I)^-1 is integral.
+    one column tuple I with nonzero minor the matrix X = B_I (A_I)^-1 is
+    integral.  By Cramer's rule X[i][j] = det(A_I with row j replaced by the
+    row i of B_I) / det(A_I), so integrality is a divisibility test on
+    integer determinants.
     """
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionMismatch("operands must both be m x n")
@@ -84,30 +87,14 @@ def pluecker_equal(a: IntMatrix, b: IntMatrix) -> bool:
     pb = pluecker_coordinates(b)
     if pa != pb and pa != {k: -x for k, x in pb.items()}:
         return False
-    key = next((k for k, x in pa.items() if x), None)
-    if key is None:
-        return a.rows == 0
-    cols = [j - 1 for j in key]
+    key, det = next((k, x) for k, x in pa.items() if x)
     m = a.rows
-    asub = [[Fraction(row[j]) for j in cols] for row in a.entries]
-    bsub = [[row[j] for j in cols] for row in b.entries]
-    # solve X * asub = bsub and check integrality of X
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(m)]
-           for i, r in enumerate(asub)]
-    for col in range(m):
-        pivot = next(i for i in range(col, m) if aug[i][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(m):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    ainv = [[aug[i][m + j] for j in range(m)] for i in range(m)]
-    for i in range(m):
+    asub = tuple(tuple(row[j - 1] for j in key) for row in a.entries)
+    for brow in b.entries:
+        bsub = tuple(brow[j - 1] for j in key)
         for j in range(m):
-            x = sum(bsub[i][k] * ainv[k][j] for k in range(m))
-            if x.denominator != 1:
+            swapped = IntMatrix(m, m, asub[:j] + (bsub,) + asub[j + 1:])
+            if determinant(swapped) % det:
                 return False
     return True
 
@@ -119,8 +106,6 @@ def transform(lat: RowLattice, mat: IntMatrix) -> RowLattice:
         raise DimensionMismatch("transform matrix must be n x n")
     if abs(determinant(mat)) != 1:
         raise NotUnimodular("transform matrix must have determinant +-1")
-    if lat.rank == 0:
-        return lat
     return lattice_of(lat.basis @ mat)
 
 

@@ -104,6 +104,40 @@ class TestSmithNormalForm:
             assert invariant_factors(a) == smith_normal_form(a).factors
 
 
+class TestInvariantFactors:
+    @pytest.mark.parametrize("m,n", [(10, 10), (14, 11), (12, 17), (20, 20),
+                                     (25, 22), (30, 30)])
+    def test_known_diagonal_under_unimodular_mixing(self, m, n):
+        # L @ D @ R with D a chosen Smith diagonal: the answer is known by
+        # construction, not from another elimination
+        rng = random.Random(f"ldr-{m}x{n}")
+        k = rng.randint(min(m, n) // 2, min(m, n))
+        diagonal = []
+        for _ in range(k):
+            diagonal.append((diagonal[-1] if diagonal else 1) * rng.choice((1, 1, 1, 2, 3)))
+        d = IntMatrix.from_rows([[diagonal[i] if i == j and i < k else 0 for j in range(n)]
+                                 for i in range(m)], n)
+        a = random_unimodular(m, rng, steps=3 * m) @ d @ random_unimodular(n, rng, steps=3 * n)
+        assert invariant_factors(a) == tuple(diagonal)
+
+
+class TestEmptyShapes:
+    def test_determinant_of_0x0_is_1(self):
+        assert determinant(IntMatrix(0, 0, ())) == 1
+
+    @pytest.mark.parametrize("m,n", [(0, 3), (0, 0), (3, 0)])
+    def test_invariant_factors_of_an_empty_side(self, m, n):
+        assert invariant_factors(IntMatrix.zero(m, n)) == ()
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_pluecker_coordinates_of_0_rows(self, n):
+        assert pluecker_coordinates(IntMatrix(0, n, ())) == {(): 1}
+
+    def test_pluecker_coordinates_of_a_tall_matrix(self):
+        with pytest.raises(RankDeficient):
+            pluecker_coordinates(IntMatrix.from_rows([[1, 0], [0, 1], [1, 1]]))
+
+
 def random_matrix(rng, m, n, bound):
     return IntMatrix.from_rows(
         [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)], n)

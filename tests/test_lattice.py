@@ -11,11 +11,12 @@ from diagtorus import (
     equal,
     lattice_of,
     permuted_equal,
+    pluecker_coordinates,
     pluecker_equal,
     transform,
 )
 from diagtorus.cli import main
-from diagtorus.errors import DimensionMismatch, NotUnimodular, TooLarge
+from diagtorus.errors import DimensionMismatch, NotUnimodular, RankDeficient, TooLarge
 from diagtorus.oracle import lattice_equal_bounded
 
 
@@ -68,6 +69,55 @@ def test_pluecker_equal_integrality_needed():
     assert not pluecker_equal(a, strict)
 
 
+def _full_rank_matrix(rng, m, n):
+    while True:
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        try:
+            pluecker_coordinates(IntMatrix.from_rows(a, n))
+        except RankDeficient:
+            continue
+        return a
+
+
+def _unimodular(rng, m):
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(3 * m):
+        i, j = rng.sample(range(m), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return IntMatrix.from_rows(u, m)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_pluecker_integrality_catches_equal_minors(m):
+    # b = U @ X @ a with det X = 1 and X not integral, so the maximal minors
+    # agree up to sign while the lattices differ: X is diag(1/p, p) or
+    # I + E_ij / p on rows i, j, with a row of a scaled by p to keep b
+    # integral.  With X = I the lattices are equal.  The answer is known by
+    # construction, and Hermite equality must give it too.
+    rng = random.Random(f"pluecker-integrality-{m}")
+    for trial in range(60):
+        n = rng.randint(m, 6)
+        a = _full_rank_matrix(rng, m, n)
+        i, j = rng.sample(range(m), 2)
+        p = rng.choice((2, 3, 5))
+        kind = trial % 3
+        b = [list(row) for row in a]
+        if kind == 0:
+            a[i] = [p * x for x in a[i]]
+            b[j] = [p * x for x in b[j]]
+        elif kind == 1:
+            b[i] = [x + y for x, y in zip(b[i], b[j])]
+            a[j] = b[j] = [p * x for x in b[j]]
+        a = IntMatrix.from_rows(a, n)
+        b = _unimodular(rng, m) @ IntMatrix.from_rows(b, n)
+        pa, pb = pluecker_coordinates(a), pluecker_coordinates(b)
+        assert pa == pb or pa == {k: -x for k, x in pb.items()}
+        want = kind == 2
+        assert pluecker_equal(a, b) == pluecker_equal(b, a) == want
+        assert equal(lattice_of(a), lattice_of(b)) == want
+
+
 def test_methods_agree_on_random_full_rank_pairs():
     rng = random.Random(11)
     checked = 0
@@ -109,6 +159,13 @@ def test_transform_rejects_nonunimodular():
     lat = lattice_of(IntMatrix.from_rows([[1, 0]]))
     with pytest.raises(NotUnimodular):
         transform(lat, IntMatrix.from_rows([[2, 0], [0, 1]]))
+
+
+def test_transform_of_a_rank_0_lattice():
+    for rows in ((), ((0, 0, 0), (0, 0, 0))):
+        lat = lattice_of(IntMatrix(len(rows), 3, rows))
+        out = transform(lat, IntMatrix.from_rows([[1, 2, 0], [0, 1, 0], [3, 0, 1]]))
+        assert out == lat and out.rank == 0 and out.basis == IntMatrix(0, 3, ())
 
 
 def test_transform_identity_is_noop():
