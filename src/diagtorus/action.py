@@ -79,9 +79,7 @@ def is_orbit_closed(weights, zeros) -> bool:
         return True
     if any(weights[i - 1] for i in zeros):
         return False
-    if any(x == 0 for x in outside):
-        return False
-    return all(x > 0 for x in outside) or all(x < 0 for x in outside)
+    return is_stable(outside)
 
 
 def is_stable(weights) -> bool:

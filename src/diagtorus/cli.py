@@ -7,6 +7,9 @@ given as JSON objects {"rows": m, "cols": n, "entries": [[...], ...]},
 which round-trips with the emitted payloads; every number in the object
 must be a JSON integer.
 
+Every run prints one JSON line with sorted keys; a result object prints as
+its dataclass fields.
+
 Exit codes: 0 success, 1 malformed input, 2 precondition violation or a
 result too large to print (error "TooLarge").
 """
@@ -14,6 +17,7 @@ result too large to print (error "TooLarge").
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -81,18 +85,13 @@ def _parse_zeros(text: str | None) -> frozenset[int]:
         raise UsageError(f"invalid zero pattern: {exc}") from exc
 
 
-def _matrix_payload(m: IntMatrix) -> dict:
-    return {"rows": m.rows, "cols": m.cols,
-            "entries": [list(r) for r in m.entries]}
-
-
 def _perm_1based(p) -> list[int]:
     return [x + 1 for x in p]
 
 
 def _get_matrix(args, flag: str) -> IntMatrix:
-    text = getattr(args, flag.replace("-", "_"), None)
-    jtext = getattr(args, (flag + "_json").replace("-", "_"), None)
+    text = getattr(args, flag, None)
+    jtext = getattr(args, flag + "_json", None)
     if text is not None and jtext is not None:
         raise UsageError(f"--{flag} and --{flag}-json are mutually exclusive")
     if jtext is not None:
@@ -111,22 +110,12 @@ def _get_subgroup(args) -> diag.DiagSubgroup:
     return diag.DiagSubgroup.from_matrix(_get_matrix(args, "matrix"))
 
 
-def _add_matrix_arg(p, flag: str):
-    p.add_argument(f"--{flag}", help="matrix literal, rows separated by ';'")
-    p.add_argument(f"--{flag}-json", help="matrix as a JSON object")
-    if flag == "matrix":
-        p.add_argument("--stdin", action="store_true",
-                       help="read the matrix literal from standard input")
-
-
 def _cmd_snf(args):
-    dec = smith_normal_form(_get_matrix(args, "matrix"))
-    return {"factors": list(dec.factors), "S": _matrix_payload(dec.S),
-            "U": _matrix_payload(dec.U), "V": _matrix_payload(dec.V)}, None
+    return smith_normal_form(_get_matrix(args, "matrix")), None
 
 
 def _cmd_hnf(args):
-    return _matrix_payload(hermite_normal_form(_get_matrix(args, "matrix"))), None
+    return hermite_normal_form(_get_matrix(args, "matrix")), None
 
 
 def _cmd_lattice_equal(args):
@@ -139,8 +128,7 @@ def _cmd_lattice_equal(args):
 
 def _cmd_isotype(args):
     t = diag.iso_type(_get_subgroup(args))
-    return {"torus_rank": t.torus_rank, "factors": list(t.factors),
-            "dimension": t.torus_rank, "order": t.order}, None
+    return {**vars(t), "dimension": t.torus_rank, "order": t.order}, None
 
 
 def _cmd_conjugate(args):
@@ -154,10 +142,7 @@ def _cmd_conjugate(args):
         return perm is not None, witness
     if args.group == "crn":
         ok = diag.conjugate_in_crn(g1, g2)
-        witness = None
-        if ok:
-            m = diag.crn_conjugator(g1, g2)
-            witness = {"unimodular_matrix": _matrix_payload(m)}
+        witness = {"unimodular_matrix": diag.crn_conjugator(g1, g2)} if ok else None
         return ok, witness
     # autn-codim1: rank-one weight inputs, decided by the canonical form
     if a.rows != 1 or b.rows != 1:
@@ -174,57 +159,34 @@ def _cmd_canonical(args):
     if args.context == "crn":
         g = diag.DiagSubgroup.from_matrix(_get_matrix(args, "matrix"))
         c = diag.crn_canonical(g)
-        return {"r": c.r, "factors": list(c.factors),
-                "matrix": _matrix_payload(c.canonical_matrix)}, None
-    weights = _parse_vector(args.weights) if args.weights else None
-    if weights is None:
+        return {"r": c.r, "factors": c.factors, "matrix": c.canonical_matrix}, None
+    if not args.weights:
         raise UsageError("this context requires --weights")
+    weights = _parse_vector(args.weights)
     if args.context == "autn-codim1":
-        return list(diag.codim1_canonical(weights)), None
+        return diag.codim1_canonical(weights), None
     if args.context == "aut3-torus":
-        return list(diag.aut3_torus_canonical(weights)), None
-    return list(diag.crn_codim1_canonical(weights)), None
+        return diag.aut3_torus_canonical(weights), None
+    return diag.crn_codim1_canonical(weights), None
 
 
 def _cmd_orbit(args):
     weights = _parse_vector(args.weights)
-    zeros = _parse_zeros(args.zeros)
-    rep = action.orbit_report(weights, zeros)
-    return {
-        "stabilizer": {"torus_rank": rep.stabilizer.torus_rank,
-                       "factors": list(rep.stabilizer.factors)},
-        "stabilizer_dim": rep.stabilizer_dim,
-        "stabilizer_order": rep.stabilizer_order,
-        "orbit_dim": rep.orbit_dim,
-        "closed": rep.closed,
-        "origin_in_closure": rep.origin_in_closure,
-    }, None
+    return action.orbit_report(weights, _parse_zeros(args.zeros)), None
 
 
 def _cmd_action_report(args):
-    rep = action.action_report(_parse_vector(args.weights))
-    return {
-        "group_dim": rep.group_dim,
-        "stable": rep.stable,
-        "has_nonconstant_invariants": rep.has_nonconstant_invariants,
-        "invariant_monomial": list(rep.invariant_monomial)
-        if rep.invariant_monomial is not None else None,
-        "nonclosed_codim1_orbit_axes": list(rep.nonclosed_codim1_orbit_axes),
-    }, None
+    return action.action_report(_parse_vector(args.weights)), None
 
 
 def _cmd_normalizer(args):
     rep = normalizer.normalizer_report(_parse_vector(args.weights))
     return {
-        "case": {"tag": rep.case.tag, "axis": rep.case.axis},
-        "contained_in_monomial": rep.contained_in_monomial,
+        **vars(rep),
         "perm_part": [{"permutation": _perm_1based(s), "sign": e}
                       for s, e in rep.perm_part],
-        "perm_order": rep.perm_order,
         "centralizer_perm_part": [_perm_1based(s)
                                   for s in rep.centralizer_perm_part],
-        "explicit_structure": rep.explicit_structure,
-        "note": rep.note,
     }, None
 
 
@@ -233,9 +195,9 @@ def _cmd_roots(args):
     for rv in roots.enumerate_root_vectors(args.dim, args.degree):
         out.append({
             "i": rv.i,
-            "l": list(rv.l),
-            "root": list(roots.root_of(rv, roots.DN).exponents),
-            "root_mod_diagonal": list(roots.root_of(rv, roots.DN_STAR).exponents),
+            "l": rv.l,
+            "root": roots.root_of(rv, roots.DN).exponents,
+            "root_mod_diagonal": roots.root_of(rv, roots.DN_STAR).exponents,
         })
     return out, None
 
@@ -256,7 +218,7 @@ def _cmd_oracle_closedness(args):
     zeros = _parse_zeros(args.zeros)
     bound = args.bound if args.bound is not None else oracle.default_closedness_bound(weights)
     d = oracle.closedness_search(weights, zeros, bound)
-    witness = None if d is None else {"d": list(d)}
+    witness = None if d is None else {"d": d}
     return d is None, witness  # result True = closed (no witness found)
 
 
@@ -267,91 +229,72 @@ def _cmd_oracle_perm_sign(args):
     return True, {"permutation": _perm_1based(rel[0]), "sign": rel[1]}
 
 
+# Each subcommand with its handler and its arguments, in declaration order
+# (argparse reports missing required arguments in that order).  A bare name
+# is a --name/--name-json matrix operand pair, and "matrix" also takes
+# --stdin; a (flag, keywords) pair is passed to add_argument as it is.
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+_ZEROS = ("--zeros", {"default": ""})
+_BOUND = ("--bound", {"type": int})
+_COMMANDS = {
+    "snf": (_cmd_snf, ["matrix"]),
+    "hnf": (_cmd_hnf, ["matrix"]),
+    "lattice-equal": (_cmd_lattice_equal, [
+        "a", "b",
+        ("--method", {"choices": ["hermite", "pluecker"], "default": "hermite"})]),
+    "isotype": (_cmd_isotype, ["matrix", ("--weights", {})]),
+    "conjugate": (_cmd_conjugate, [
+        ("--group", {"required": True,
+                     "choices": ["gln", "monomial", "crn", "autn-codim1"]}),
+        "a", "b"]),
+    "canonical": (_cmd_canonical, [
+        ("--context", {"required": True,
+                       "choices": ["crn", "autn-codim1", "aut3-torus", "crn-codim1"]}),
+        "matrix", ("--weights", {})]),
+    "orbit": (_cmd_orbit, [("--weights", _REQUIRED), _ZEROS]),
+    "action-report": (_cmd_action_report, [("--weights", _REQUIRED)]),
+    "normalizer": (_cmd_normalizer, [("--weights", _REQUIRED)]),
+    "roots": (_cmd_roots, [("--dim", _REQUIRED_INT), ("--degree", _REQUIRED_INT)]),
+    "oracle-torsion-count": (_cmd_oracle_torsion, [
+        "matrix", ("--weights", {}), ("--modulus", _REQUIRED_INT)]),
+    "oracle-lattice-equal": (_cmd_oracle_lattice_equal, ["a", "b", _BOUND]),
+    "oracle-closedness": (_cmd_oracle_closedness, [
+        ("--weights", _REQUIRED), _ZEROS, _BOUND]),
+    "oracle-perm-sign": (_cmd_oracle_perm_sign, [("--a", _REQUIRED), ("--b", _REQUIRED)]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diagtorus", description=__doc__, exit_on_error=False)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("snf", exit_on_error=False)
-    _add_matrix_arg(p, "matrix")
-    p.set_defaults(func=_cmd_snf)
-
-    p = sub.add_parser("hnf", exit_on_error=False)
-    _add_matrix_arg(p, "matrix")
-    p.set_defaults(func=_cmd_hnf)
-
-    p = sub.add_parser("lattice-equal", exit_on_error=False)
-    _add_matrix_arg(p, "a")
-    _add_matrix_arg(p, "b")
-    p.add_argument("--method", choices=["hermite", "pluecker"], default="hermite")
-    p.set_defaults(func=_cmd_lattice_equal)
-
-    p = sub.add_parser("isotype", exit_on_error=False)
-    _add_matrix_arg(p, "matrix")
-    p.add_argument("--weights")
-    p.set_defaults(func=_cmd_isotype)
-
-    p = sub.add_parser("conjugate", exit_on_error=False)
-    p.add_argument("--group", required=True,
-                   choices=["gln", "monomial", "crn", "autn-codim1"])
-    _add_matrix_arg(p, "a")
-    _add_matrix_arg(p, "b")
-    p.set_defaults(func=_cmd_conjugate)
-
-    p = sub.add_parser("canonical", exit_on_error=False)
-    p.add_argument("--context", required=True,
-                   choices=["crn", "autn-codim1", "aut3-torus", "crn-codim1"])
-    _add_matrix_arg(p, "matrix")
-    p.add_argument("--weights")
-    p.set_defaults(func=_cmd_canonical)
-
-    p = sub.add_parser("orbit", exit_on_error=False)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--zeros", default="")
-    p.set_defaults(func=_cmd_orbit)
-
-    p = sub.add_parser("action-report", exit_on_error=False)
-    p.add_argument("--weights", required=True)
-    p.set_defaults(func=_cmd_action_report)
-
-    p = sub.add_parser("normalizer", exit_on_error=False)
-    p.add_argument("--weights", required=True)
-    p.set_defaults(func=_cmd_normalizer)
-
-    p = sub.add_parser("roots", exit_on_error=False)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(func=_cmd_roots)
-
-    p = sub.add_parser("oracle-torsion-count", exit_on_error=False)
-    _add_matrix_arg(p, "matrix")
-    p.add_argument("--weights")
-    p.add_argument("--modulus", type=int, required=True)
-    p.set_defaults(func=_cmd_oracle_torsion)
-
-    p = sub.add_parser("oracle-lattice-equal", exit_on_error=False)
-    _add_matrix_arg(p, "a")
-    _add_matrix_arg(p, "b")
-    p.add_argument("--bound", type=int)
-    p.set_defaults(func=_cmd_oracle_lattice_equal)
-
-    p = sub.add_parser("oracle-closedness", exit_on_error=False)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--zeros", default="")
-    p.add_argument("--bound", type=int)
-    p.set_defaults(func=_cmd_oracle_closedness)
-
-    p = sub.add_parser("oracle-perm-sign", exit_on_error=False)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.set_defaults(func=_cmd_oracle_perm_sign)
-
+    for name, (func, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, exit_on_error=False)
+        for arg in arguments:
+            if isinstance(arg, str):
+                p.add_argument(f"--{arg}", help="matrix literal, rows separated by ';'")
+                p.add_argument(f"--{arg}-json", help="matrix as a JSON object")
+                if arg == "matrix":
+                    p.add_argument("--stdin", action="store_true",
+                                   help="read the matrix literal from standard input")
+            else:
+                flag, keywords = arg
+                p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
+def _fields(obj) -> dict:
+    """json.dumps hook: a dataclass instance prints as its fields."""
+    if dataclasses.is_dataclass(obj):
+        return vars(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True,
-                                separators=(",", ":")) + "\n")
+    sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                                default=_fields) + "\n")
 
 
 def _fail(code: int, kind: str, exc: Exception) -> int:
@@ -361,10 +304,15 @@ def _fail(code: int, kind: str, exc: Exception) -> int:
     return code
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except (argparse.ArgumentError, SystemExit) as exc:
         code = exc.code if isinstance(exc, SystemExit) else None
         if isinstance(exc, SystemExit) and code == 0:

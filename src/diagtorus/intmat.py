@@ -56,12 +56,6 @@ class IntMatrix:
     def zero(cls, m: int, n: int) -> "IntMatrix":
         return cls(m, n, tuple(tuple(0 for _ in range(n)) for _ in range(m)))
 
-    def row(self, i: int) -> Row:
-        return self.entries[i]
-
-    def column(self, j: int) -> Row:
-        return tuple(r[j] for r in self.entries)
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")

@@ -184,7 +184,7 @@ def permuted_equal(a: IntMatrix, b: IntMatrix):
     if ha.rows != hb.rows:
         return None
     factors = invariant_factors(ha)
-    if sorted(factors) != sorted(invariant_factors(hb)):
+    if factors != invariant_factors(hb):
         return None
     ga = _column_gcds(ha, n)
     gb = _column_gcds(hb, n)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
+from .action import is_stable
 from .diag import DiagSubgroup, subgroups_equal
 from .errors import TooLarge
 
@@ -57,8 +58,7 @@ def classify_case(weights) -> NormalizerCase:
     nonzero = [(i, x) for i, x in enumerate(weights, start=1) if x]
     if len(nonzero) == 1 and abs(nonzero[0][1]) == 1:
         return NormalizerCase(AXIS, axis=nonzero[0][0])
-    if all(x != 0 for x in weights) and (all(x > 0 for x in weights)
-                                         or all(x < 0 for x in weights)):
+    if is_stable(weights):
         return NormalizerCase(SAME_SIGN_ALL_NONZERO)
     if all(abs(x) != 1 for x in weights):
         return NormalizerCase(NO_UNIT_WEIGHTS)

@@ -1,8 +1,18 @@
+import argparse
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from diagtorus import cli
 from diagtorus.cli import main
+from diagtorus.diag import IsoType
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -174,7 +184,6 @@ class TestContracts:
         assert again["result"] == payload["result"]
 
     def test_stdin_input(self, capsys, monkeypatch):
-        import io
         monkeypatch.setattr("sys.stdin", io.StringIO("1 2; 3 4"))
         code, out = run(capsys, "hnf", "--stdin")
         assert code == 0
@@ -252,3 +261,54 @@ class TestContracts:
                      ("canonical", "--context", "autn-codim1", "--weights", "0")]:
             _, out = run(capsys, *argv)
             json.loads(out)
+
+
+class TestParserReuse:
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting_build_parser():
+            calls.append(None)
+            return build_parser()
+
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        monkeypatch.setattr(cli, "_parser", None)
+        for _ in range(3):
+            code, out = run(capsys, "hnf", "--matrix", "1 2; 3 4")
+            assert (code, out) == (0, golden({"rows": 2, "cols": 2,
+                                              "entries": [[1, 0], [0, 2]]}))
+        assert len(calls) == 1
+
+    def test_no_state_leaks_between_calls(self, capsys, monkeypatch):
+        code, _ = run(capsys, "canonical", "--context", "crn", "--matrix", "2 4")
+        assert code == 0
+        code, payload = run_json(capsys, "canonical", "--context", "autn-codim1")
+        assert code == 1 and payload["error"] == "usage"
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 2; 3 4"))
+        code, _ = run(capsys, "hnf", "--stdin")
+        assert code == 0
+        code, payload = run_json(capsys, "hnf")
+        assert code == 1 and payload["message"] == "missing --matrix"
+
+    @pytest.mark.parametrize("value", [object(), argparse.Namespace(x=1), IsoType])
+    def test_emit_prints_only_dataclass_instances(self, capsys, value):
+        with pytest.raises(TypeError):
+            cli._emit({"x": value})
+        assert capsys.readouterr().out == ""
+        cli._emit({"x": IsoType(1, (2,))})
+        assert capsys.readouterr().out == '{"x":{"factors":[2],"torus_rank":1}}\n'
+
+
+def test_module_entry_point():
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "diagtorus", *argv],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=60)
+
+    proc = run_module("hnf", "--matrix", "1 2; 3 4")
+    assert (proc.returncode, proc.stdout) == (
+        0, golden({"rows": 2, "cols": 2, "entries": [[1, 0], [0, 2]]}))
+    proc = run_module("canonical", "--context", "autn-codim1", "--weights", "0 0")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == "ZeroVector"
