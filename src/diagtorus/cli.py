@@ -304,15 +304,9 @@ def _fail(code: int, kind: str, exc: Exception) -> int:
     return code
 
 
-_parser: argparse.ArgumentParser | None = None  # built by the first main call
-
-
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except (argparse.ArgumentError, SystemExit) as exc:
         code = exc.code if isinstance(exc, SystemExit) else None
         if isinstance(exc, SystemExit) and code == 0:

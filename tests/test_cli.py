@@ -263,23 +263,7 @@ class TestContracts:
             json.loads(out)
 
 
-class TestParserReuse:
-    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
-        calls = []
-
-        def counting_build_parser():
-            calls.append(None)
-            return build_parser()
-
-        build_parser = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
-        monkeypatch.setattr(cli, "_parser", None)
-        for _ in range(3):
-            code, out = run(capsys, "hnf", "--matrix", "1 2; 3 4")
-            assert (code, out) == (0, golden({"rows": 2, "cols": 2,
-                                              "entries": [[1, 0], [0, 2]]}))
-        assert len(calls) == 1
-
+class TestInProcessCalls:
     def test_no_state_leaks_between_calls(self, capsys, monkeypatch):
         code, _ = run(capsys, "canonical", "--context", "crn", "--matrix", "2 4")
         assert code == 0
