@@ -9,7 +9,6 @@ from .intmat import (
     hermite_normal_form,
     invariant_factors,
     inverse_unimodular,
-    is_unimodular,
     pluecker_coordinates,
     rank,
     smith_normal_form,

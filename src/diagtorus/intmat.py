@@ -10,7 +10,7 @@ integers; there are no fractions and no floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, cycle
 from math import gcd
 
 from .errors import NotUnimodular, RankDeficient
@@ -95,10 +95,6 @@ def determinant(a: IntMatrix) -> int:
     return sign * prev
 
 
-def is_unimodular(a: IntMatrix) -> bool:
-    return a.is_square() and abs(determinant(a)) == 1
-
-
 def _hermite_pass(work: list[list[int]], width: int, inverse=None) -> int:
     """Row Hermite reduction, in place, of the first `width` columns of work.
 
@@ -118,11 +114,11 @@ def _hermite_pass(work: list[list[int]], width: int, inverse=None) -> int:
             nz = [i for i in range(r, m) if work[i][col]]
             if len(nz) <= 1:
                 break
-            nz.sort(key=lambda i: abs(work[i][col]))
-            base = nz[0]
+            base = min(nz, key=lambda i: abs(work[i][col]))
+            nz.remove(base)
             b = work[base]
             p = b[col]
-            for i in nz[1:]:
+            for i in nz:
                 q = work[i][col] // p
                 work[i] = [x - q * y for x, y in zip(work[i], b)]
                 if inverse is not None:
@@ -156,11 +152,9 @@ def inverse_unimodular(a: IntMatrix) -> IntMatrix:
     row operations that reach it multiply to the inverse.
     """
     n = a.rows
-    if a.is_square():
-        work = [list(row) + unit for row, unit in zip(a.entries, _identity_lists(n))]
-        _hermite_pass(work, n)
-        if [row[:n] for row in work] == _identity_lists(n):
-            return IntMatrix(n, n, tuple(tuple(row[n:]) for row in work))
+    inv = _identity_lists(n)
+    if a.is_square() and _witnessed_pass(a.to_lists(), inv, n, None) == _identity_lists(n):
+        return IntMatrix(n, n, tuple(tuple(row) for row in inv))
     raise NotUnimodular("matrix is not square with determinant +-1")
 
 
@@ -185,6 +179,18 @@ def _is_diagonal(a: list[list[int]]) -> bool:
     return not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(a))
 
 
+def _witnessed_pass(rows, wit, width: int, inverse) -> list[list[int]]:
+    """_hermite_pass on rows carrying the witness rows wit, which are updated
+    in place; returns the reduced rows.  Zero-width witnesses are skipped."""
+    if not any(wit):
+        _hermite_pass(rows, width, inverse)
+        return rows
+    work = [x + y for x, y in zip(rows, wit)]
+    _hermite_pass(work, width, inverse)
+    wit[:] = [w[width:] for w in work]
+    return [w[:width] for w in work]
+
+
 def _diagonalize(rows, u, vt, vinv) -> list[int]:
     """Nonzero Smith diagonal of the m x n matrix rows, in divisibility
     order; u and vt receive the row and column operations in place.
@@ -203,23 +209,16 @@ def _diagonalize(rows, u, vt, vinv) -> list[int]:
     again.  The same argument then applies to the trailing submatrix.
     """
     m, n = len(rows), len(vt)
-    while True:
-        work = [x + y for x, y in zip(rows, u)]
-        _hermite_pass(work, n)
-        rows, u[:] = [w[:n] for w in work], [w[n:] for w in work]
+    for wit, width, inverse in cycle(((u, n, None), (vt, m, vinv))):
+        rows = _witnessed_pass(rows, wit, width, inverse)
         if _is_diagonal(rows):
             break
-        work = [list(c) + v for c, v in zip(zip(*rows), vt)]
-        _hermite_pass(work, m, vinv)
-        vt[:] = [w[m:] for w in work]
-        rows = [list(row) for row in zip(*(w[:m] for w in work))]
-        if _is_diagonal(rows):
-            break
-    # The last pass left a diagonal matrix in Hermite form, so its entries
-    # are positive and the zeros trail.  Fix the divisibility chain with
-    # 2 x 2 unimodular transforms taking diag(x, y) to diag(gcd, lcm):
-    # L = [[s, t], [-y/g, x/g]] on the left, R = [[1, -t*y/g], [1, s*x/g]]
-    # on the right, and R^-1 = [[s*x/g, t*y/g], [-1, 1]] on V^-1.
+        rows = [list(c) for c in zip(*rows)]
+    # The last pass left a diagonal Hermite form (of the matrix or of its
+    # transpose): positive entries, zeros trailing.  Fix the divisibility
+    # chain with 2 x 2 unimodular transforms taking diag(x, y) to diag(gcd,
+    # lcm): L = [[s, t], [-y/g, x/g]] on the left, R = [[1, -t*y/g], [1,
+    # s*x/g]] on the right, and R^-1 = [[s*x/g, t*y/g], [-1, 1]] on V^-1.
     d = [rows[i][i] for i in range(min(m, n)) if rows[i][i]]
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
@@ -240,8 +239,7 @@ def _diagonalize(rows, u, vt, vinv) -> list[int]:
 def _smith(a: IntMatrix, track_inverse: bool):
     """Smith form with witnesses, and V^-1 when track_inverse is set."""
     m, n = a.rows, a.cols
-    u = _identity_lists(m)
-    vt = _identity_lists(n)
+    u, vt = _identity_lists(m), _identity_lists(n)
     vinv = _identity_lists(n) if track_inverse else None
     d = _diagonalize(a.to_lists(), u, vt, vinv)
     S = IntMatrix(m, n, tuple(tuple(d[i] if i == j and i < len(d) else 0
@@ -279,17 +277,32 @@ def rank(a: IntMatrix) -> int:
     return hermite_normal_form(a).rows
 
 
+def _minors(rows, cols) -> dict[tuple[int, ...], int]:
+    """Every len(rows)-square minor of rows on the columns cols, keyed by
+    0-based column tuples in combinations order.  Laplace expansion along
+    row k builds the minors of the first k + 1 rows from those of the first
+    k, so each smaller minor is computed once and shared by the larger ones."""
+    minors: dict[tuple[int, ...], int] = {(): 1}
+    for k, row in enumerate(rows):
+        new = {}
+        for s in combinations(cols, k + 1):
+            d = 0
+            for t, j in enumerate(s):  # cofactor sign (-1)^(k + t)
+                x = row[j] * minors[s[:t] + s[t + 1:]]
+                d = d - x if (k + t) % 2 else d + x
+            new[s] = d
+        minors = new
+    return minors
+
+
 def pluecker_coordinates(a: IntMatrix) -> dict[tuple[int, ...], int]:
     """Maximal minors of a full-row-rank matrix, keyed by 1-based column tuples.
 
     The rank is read off the minors themselves, not from a Hermite form: a
     matrix has full row rank iff some maximal minor is nonzero.
     """
-    m = a.rows
-    coords: dict[tuple[int, ...], int] = {}
-    for cols in combinations(range(a.cols), m):
-        sub = IntMatrix(m, m, tuple(tuple(row[j] for j in cols) for row in a.entries))
-        coords[tuple(j + 1 for j in cols)] = determinant(sub)
+    minors = _minors(a.entries, range(a.cols)).values()
+    coords = dict(zip(combinations(range(1, a.cols + 1), a.rows), minors))
     if not any(coords.values()):
         raise RankDeficient("matrix does not have full row rank")
     return coords

@@ -2,8 +2,8 @@
 
 Equality is implemented twice on purpose.  Hermite-basis comparison is the
 production path; the Pluecker-coordinate criterion is an independently coded
-cross-check built on determinants alone, and the two must always agree on
-full-row-rank inputs.
+cross-check built on minors alone, all from one shared Laplace expansion
+(intmat._minors), and the two must always agree on full-row-rank inputs.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .intmat import (
     IntMatrix,
     _hermite_pass,
     _identity_lists,
+    _minors,
     determinant,
     hermite_normal_form,
     invariant_factors,
@@ -77,9 +78,10 @@ def pluecker_equal(a: IntMatrix, b: IntMatrix) -> bool:
     The two matrices must have full row rank and the same shape.  The test is:
     all Pluecker coordinates agree (possibly after a global sign flip), and for
     one column tuple I with nonzero minor the matrix X = B_I (A_I)^-1 is
-    integral.  By Cramer's rule X[i][j] = det(A_I with row j replaced by the
-    row i of B_I) / det(A_I), so integrality is a divisibility test on
-    integer determinants.
+    integral.  By Cramer's rule X[i][j] = det(A_I with row j replaced by row
+    i of B_I) / det(A_I): row i of B_I dotted with the cofactors of row j of
+    A_I, the signed (m-1)-minors of its other rows, up to a sign (-1)^j that
+    a divisibility test ignores.
     """
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionMismatch("operands must both be m x n")
@@ -88,13 +90,12 @@ def pluecker_equal(a: IntMatrix, b: IntMatrix) -> bool:
     if pa != pb and pa != {k: -x for k, x in pb.items()}:
         return False
     key, det = next((k, x) for k, x in pa.items() if x)
-    m = a.rows
-    asub = tuple(tuple(row[j - 1] for j in key) for row in a.entries)
-    for brow in b.entries:
-        bsub = tuple(brow[j - 1] for j in key)
-        for j in range(m):
-            swapped = IntMatrix(m, m, asub[:j] + (bsub,) + asub[j + 1:])
-            if determinant(swapped) % det:
+    cols = tuple(j - 1 for j in key)
+    for j in range(a.rows):
+        minors = _minors(a.entries[:j] + a.entries[j + 1:], cols)
+        cof = [(-1) ** t * minors[cols[:t] + cols[t + 1:]] for t in range(a.rows)]
+        for brow in b.entries:
+            if sum(brow[k] * c for k, c in zip(cols, cof)) % det:
                 return False
     return True
 

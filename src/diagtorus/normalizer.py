@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from math import factorial
 
 from .action import is_stable
-from .diag import DiagSubgroup, subgroups_equal
 from .errors import TooLarge
 
 FULL_TORUS = "full_torus"
@@ -165,15 +164,3 @@ def normalizer_report(weights) -> NormalizerReport:
         explicit_structure=explicit,
         note=note,
     )
-
-
-def perm_part_is_consistent(weights) -> bool:
-    """Sanity check: conjugating by any reported (sigma, eps) leaves the
-    subgroup unchanged."""
-    weights = tuple(int(x) for x in weights)
-    g = DiagSubgroup.from_weights(weights)
-    for sigma, eps in monomial_normalizer(weights):
-        image = tuple(eps * weights[sigma[j]] for j in range(len(weights)))
-        if not subgroups_equal(DiagSubgroup.from_weights(image), g):
-            return False
-    return True

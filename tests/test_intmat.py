@@ -7,16 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diagtorus import (
+    DiagSubgroup,
     IntMatrix,
+    crn_conjugator,
     determinant,
     hermite_normal_form,
     invariant_factors,
     inverse_unimodular,
     pluecker_coordinates,
     smith_normal_form,
+    transform,
 )
 from diagtorus.errors import NotUnimodular, RankDeficient
-from diagtorus.intmat import _smith
+from diagtorus.intmat import _minors, _smith
 
 
 def small_matrix(max_dim=4, lo=-5, hi=5):
@@ -96,11 +99,15 @@ class TestSmithNormalForm:
             assert invariant_factors(p @ a @ q) == base
 
     def test_fast_path_agrees_with_witness_path(self):
+        # the fast path reduces the rows without appending witnesses; small
+        # entries and repeated rows make ties and zero rows common
         rng = random.Random(3)
-        for _ in range(50):
-            m, n = rng.randint(1, 4), rng.randint(1, 4)
+        for _ in range(300):
+            m, n = rng.randint(0, 5), rng.randint(0, 5)
             a = IntMatrix.from_rows(
                 [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)], n)
+            if m > 1 and rng.random() < 0.3:
+                a = IntMatrix.from_rows(a.entries[:-1] + (a.entries[0],), n)
             assert invariant_factors(a) == smith_normal_form(a).factors
 
 
@@ -298,3 +305,106 @@ class TestPluecker:
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankDeficient):
             pluecker_coordinates(IntMatrix.from_rows([[1, 2], [2, 4]]))
+
+
+def bareiss_minors(a: IntMatrix, cols) -> dict[tuple[int, ...], int]:
+    """Every maximal minor of a on the columns cols, one determinant each."""
+    m = a.rows
+    return {s: determinant(IntMatrix(m, m, tuple(tuple(row[j] for j in s)
+                                                 for row in a.entries)))
+            for s in combinations(cols, m)}
+
+
+class TestMinors:
+    def test_match_bareiss_on_every_column_subset(self):
+        rng = random.Random("minors-vs-bareiss")
+        deficient = zero_column = 0
+        for trial in range(300):
+            m = rng.randint(1, 5)
+            n = rng.randint(m, 8)
+            rows = random_matrix(rng, m, n, rng.choice((1, 9, 1000))).to_lists()
+            if trial % 3 == 1 and m > 1:
+                # the last row becomes a combination of two others
+                i, j = rng.sample(range(m - 1), 2) if m > 2 else (0, 0)
+                c, d = rng.randint(-3, 3), rng.randint(-3, 3)
+                rows[-1] = [c * x + d * y for x, y in zip(rows[i], rows[j])]
+            elif trial % 3 == 2:
+                for j in rng.sample(range(n), rng.randint(1, n)):
+                    for row in rows:
+                        row[j] = 0
+                zero_column += 1
+            a = IntMatrix.from_rows(rows, n)
+            want = bareiss_minors(a, range(n))
+            got = _minors(a.entries, range(n))
+            assert list(got) == list(combinations(range(n), m))
+            assert got == want
+            cols = sorted(rng.sample(range(n), rng.randint(m, n)))
+            sub = _minors(a.entries, cols)
+            assert list(sub) == list(combinations(cols, m))
+            assert sub == bareiss_minors(a, cols)
+            if any(want.values()):
+                coords = pluecker_coordinates(a)
+                assert list(coords) == list(combinations(range(1, n + 1), m))
+                assert list(coords.values()) == list(want.values())
+            else:
+                deficient += 1
+                with pytest.raises(RankDeficient):
+                    pluecker_coordinates(a)
+        assert deficient >= 50 and zero_column >= 50
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_no_columns(self, m):
+        a = IntMatrix(m, 0, ((),) * m)
+        assert _minors(a.entries, range(0)) == {}
+        with pytest.raises(RankDeficient):
+            pluecker_coordinates(a)
+
+
+class TestPivotChoiceWitnesses:
+    """Golden witnesses for matrices in which rows tie on the smallest
+    |pivot| in a column, in the input or in a later pass.  The Hermite pass
+    reduces against the first such row; another choice gives different,
+    equally valid witnesses, so these pin the operation sequence itself.
+    The Hermite forms are unique and pinned only for completeness."""
+
+    @pytest.mark.parametrize("rows,u,s,v,h", [
+        ([[4, 6], [-4, 9], [4, 2]],
+         ((3, -1, -4), (29, -10, -40), (11, -4, -15)),
+         ((1, 0), (0, 4), (0, 0)),
+         ((1, -1), (1, 0)),
+         ((4, 0), (0, 1))),
+        ([[-6, -6], [-6, -6]],
+         ((-1, 0), (-1, 1)),
+         ((6, 0), (0, 0)),
+         ((1, -1), (0, 1)),
+         ((6, 6),)),
+        ([[2, 3, 1], [-2, 5, 4], [2, 1, 7]],
+         ((0, 0, 1), (-2, 1, 3), (55, -28, -141)),
+         ((1, 0, 0), (0, 1, 0), (0, 0, 116)),
+         ((5, 2, 9), (-23, -11, -46), (2, 1, 4)),
+         ((2, 1, 7), (0, 2, 23), (0, 0, 29))),
+        ([[-1, 2, -1], [0, 1, -1]],
+         ((-1, 2), (0, 1)),
+         ((1, 0, 0), (0, 1, 0)),
+         ((1, 0, 1), (0, 1, 1), (0, 0, 1)),
+         ((1, 0, -1), (0, 1, -1))),
+    ])
+    def test_smith_and_hermite(self, rows, u, s, v, h):
+        a = IntMatrix.from_rows(rows)
+        dec = smith_normal_form(a)
+        assert (dec.U.entries, dec.S.entries, dec.V.entries) == (u, s, v)
+        assert dec.U @ a @ dec.V == dec.S
+        assert hermite_normal_form(a).entries == h
+
+    def test_tracked_inverse(self):
+        a = IntMatrix.from_rows([[-1, 2, -1], [0, 1, -1]])
+        dec, v_inv = _smith(a, track_inverse=True)
+        assert v_inv.entries == ((1, 0, -1), (0, 1, -1), (0, 0, 1))
+        assert dec.V @ v_inv == IntMatrix.identity(3)
+
+    def test_crn_conjugator(self):
+        g1 = DiagSubgroup.from_matrix(IntMatrix.from_rows([[-3, -2, 0], [-3, -2, -3]]))
+        g2 = DiagSubgroup.from_matrix(IntMatrix.from_rows([[-3, -3, 0], [2, 3, -1]]))
+        got = crn_conjugator(g1, g2)
+        assert got.entries == ((1, 0, -1), (-1, 0, 2), (0, 1, -1))
+        assert transform(g1.lattice, got) == g2.lattice

@@ -88,7 +88,7 @@ def _unimodular(rng, m):
     return IntMatrix.from_rows(u, m)
 
 
-@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("m", [3, 4, 5])
 def test_pluecker_integrality_catches_equal_minors(m):
     # b = U @ X @ a with det X = 1 and X not integral, so the maximal minors
     # agree up to sign while the lattices differ: X is diag(1/p, p) or
@@ -116,6 +116,34 @@ def test_pluecker_integrality_catches_equal_minors(m):
         want = kind == 2
         assert pluecker_equal(a, b) == pluecker_equal(b, a) == want
         assert equal(lattice_of(a), lattice_of(b)) == want
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_pluecker_equal_under_a_global_sign_flip(m):
+    # b = S @ X @ a with det S = -1: the Pluecker vectors are negatives of
+    # each other, and X decides the answer as in the test above
+    rng = random.Random(f"pluecker-sign-{m}")
+    for trial in range(40):
+        n = rng.randint(m, 6)
+        a = _full_rank_matrix(rng, m, n)
+        b = [list(row) for row in a]
+        equal_lattices = m == 1 or trial % 2 == 0
+        if not equal_lattices:
+            i, j = rng.sample(range(m), 2)
+            p = rng.choice((2, 3))
+            a[i] = [p * x for x in a[i]]
+            b[j] = [p * x for x in b[j]]
+        b = IntMatrix.from_rows(b, n)
+        if m > 1:
+            b = _unimodular(rng, m) @ b
+        k = rng.randrange(m)
+        b = IntMatrix.from_rows([[-x for x in row] if r == k else row
+                                 for r, row in enumerate(b.entries)], n)
+        a = IntMatrix.from_rows(a, n)
+        pa, pb = pluecker_coordinates(a), pluecker_coordinates(b)
+        assert pa == {key: -x for key, x in pb.items()} != pb
+        assert pluecker_equal(a, b) == pluecker_equal(b, a) == equal_lattices
+        assert equal(lattice_of(a), lattice_of(b)) == equal_lattices
 
 
 def test_methods_agree_on_random_full_rank_pairs():

@@ -4,7 +4,14 @@ from math import factorial
 
 import pytest
 
-from diagtorus import IntMatrix, contains, lattice_of, normalizer
+from diagtorus import (
+    DiagSubgroup,
+    IntMatrix,
+    contains,
+    lattice_of,
+    normalizer,
+    subgroups_equal,
+)
 from diagtorus.cli import main
 from diagtorus.errors import TooLarge
 from diagtorus.normalizer import (
@@ -18,8 +25,18 @@ from diagtorus.normalizer import (
     monomial_centralizer,
     monomial_normalizer,
     normalizer_report,
-    perm_part_is_consistent,
 )
+
+def perm_part_is_consistent(weights) -> bool:
+    """Conjugating by any reported (sigma, eps) leaves the subgroup unchanged."""
+    weights = tuple(int(x) for x in weights)
+    g = DiagSubgroup.from_weights(weights)
+    for sigma, eps in monomial_normalizer(weights):
+        image = tuple(eps * weights[sigma[j]] for j in range(len(weights)))
+        if not subgroups_equal(DiagSubgroup.from_weights(image), g):
+            return False
+    return True
+
 
 ALL_TAGS = (FULL_TORUS, AXIS, SAME_SIGN_ALL_NONZERO, NO_UNIT_WEIGHTS,
             ZERO_AND_UNIT_SAME_SIGN, MIXED_SIGNS)
