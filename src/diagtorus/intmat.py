@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, cycle
-from math import gcd
+from math import comb, gcd
 
 from .errors import NotUnimodular, RankDeficient
 
@@ -76,8 +76,12 @@ def determinant(a: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if not a.is_square():
         raise ValueError("determinant of a non-square matrix")
-    n = a.rows
-    m = a.to_lists()
+    return _det(a.to_lists())
+
+
+def _det(m: list[list[int]]) -> int:
+    """Bareiss elimination of a square list of rows, in place."""
+    n = len(m)
     sign = 1
     prev = 1
     for k in range(n):
@@ -181,10 +185,7 @@ def _is_diagonal(a: list[list[int]]) -> bool:
 
 def _witnessed_pass(rows, wit, width: int, inverse) -> list[list[int]]:
     """_hermite_pass on rows carrying the witness rows wit, which are updated
-    in place; returns the reduced rows.  Zero-width witnesses are skipped."""
-    if not any(wit):
-        _hermite_pass(rows, width, inverse)
-        return rows
+    in place; returns the reduced rows."""
     work = [x + y for x, y in zip(rows, wit)]
     _hermite_pass(work, width, inverse)
     wit[:] = [w[width:] for w in work]
@@ -279,9 +280,18 @@ def rank(a: IntMatrix) -> int:
 
 def _minors(rows, cols) -> dict[tuple[int, ...], int]:
     """Every len(rows)-square minor of rows on the columns cols, keyed by
-    0-based column tuples in combinations order.  Laplace expansion along
-    row k builds the minors of the first k + 1 rows from those of the first
-    k, so each smaller minor is computed once and shared by the larger ones."""
+    0-based column tuples in combinations order.
+
+    A Laplace expansion along row k reuses the minors of the first k rows
+    for the first k + 1: sum_k k C(n, k) terms, about 2^n as m nears n.  One
+    Bareiss elimination per minor costs, in the same units as measured,
+    about C(n, m) (3 + m^3 / 7).  It serves instead whenever that is no
+    more, which never happens when 2m <= n.
+    """
+    m, n = len(rows), len(cols)
+    if 2 * m > n and (sum(k * comb(n, k) for k in range(m + 1))
+                      >= comb(n, m) * (3 + m ** 3 // 7)):
+        return {s: _det([[row[j] for j in s] for row in rows]) for s in combinations(cols, m)}
     minors: dict[tuple[int, ...], int] = {(): 1}
     for k, row in enumerate(rows):
         new = {}

@@ -2,8 +2,8 @@
 
 Equality is implemented twice on purpose.  Hermite-basis comparison is the
 production path; the Pluecker-coordinate criterion is an independently coded
-cross-check built on minors alone, all from one shared Laplace expansion
-(intmat._minors), and the two must always agree on full-row-rank inputs.
+cross-check built on minors alone (intmat._minors), and the two must always
+agree on full-row-rank inputs.
 """
 
 from __future__ import annotations

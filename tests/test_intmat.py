@@ -99,8 +99,7 @@ class TestSmithNormalForm:
             assert invariant_factors(p @ a @ q) == base
 
     def test_fast_path_agrees_with_witness_path(self):
-        # the fast path reduces the rows without appending witnesses; small
-        # entries and repeated rows make ties and zero rows common
+        # small entries and repeated rows make ties and zero rows common
         rng = random.Random(3)
         for _ in range(300):
             m, n = rng.randint(0, 5), rng.randint(0, 5)
@@ -351,6 +350,19 @@ class TestMinors:
                 with pytest.raises(RankDeficient):
                     pluecker_coordinates(a)
         assert deficient >= 50 and zero_column >= 50
+
+    @pytest.mark.parametrize("m,n", [(6, 6), (8, 9), (10, 11), (6, 9), (7, 11), (5, 10)])
+    def test_match_sympy_on_both_sides_of_the_method_choice(self, m, n):
+        # the first three shapes take one Bareiss elimination per minor, the
+        # others the shared expansion; sympy's determinant is independent of
+        # both
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(f"minors-choice-{m}x{n}")
+        rows = random_matrix(rng, m, n, 1000).entries
+        got = _minors(rows, range(n))
+        assert list(got) == list(combinations(range(n), m))
+        for s, d in got.items():
+            assert d == sympy.Matrix([[row[j] for j in s] for row in rows]).det()
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_no_columns(self, m):

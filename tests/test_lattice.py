@@ -146,6 +146,23 @@ def test_pluecker_equal_under_a_global_sign_flip(m):
         assert equal(lattice_of(a), lattice_of(b)) == equal_lattices
 
 
+@pytest.mark.parametrize("m,n", [(10, 14), (16, 16), (20, 20)])
+def test_pluecker_equal_on_large_near_square_inputs(m, n):
+    # on square shapes the shared Laplace expansion would take about n 2^n
+    # terms, so every minor comes from its own Bareiss elimination; 10 x 14
+    # expands its coordinates and eliminates its cofactors.  As above, a and
+    # b have the same minors up to sign and differ as lattices.
+    rng = random.Random(f"pluecker-large-{m}x{n}")
+    a = _full_rank_matrix(rng, m, n)
+    b = [list(row) for row in a]
+    a[0] = [2 * x for x in a[0]]
+    b[1] = [2 * x for x in b[1]]
+    a = IntMatrix.from_rows(a, n)
+    b = _unimodular(rng, m) @ IntMatrix.from_rows(b, n)
+    assert not pluecker_equal(a, b) and not equal(lattice_of(a), lattice_of(b))
+    assert pluecker_equal(a, _unimodular(rng, m) @ a)
+
+
 def test_methods_agree_on_random_full_rank_pairs():
     rng = random.Random(11)
     checked = 0

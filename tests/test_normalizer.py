@@ -27,6 +27,10 @@ from diagtorus.normalizer import (
     normalizer_report,
 )
 
+ALL_TAGS = (FULL_TORUS, AXIS, SAME_SIGN_ALL_NONZERO, NO_UNIT_WEIGHTS,
+            ZERO_AND_UNIT_SAME_SIGN, MIXED_SIGNS)
+
+
 def perm_part_is_consistent(weights) -> bool:
     """Conjugating by any reported (sigma, eps) leaves the subgroup unchanged."""
     weights = tuple(int(x) for x in weights)
@@ -36,10 +40,6 @@ def perm_part_is_consistent(weights) -> bool:
         if not subgroups_equal(DiagSubgroup.from_weights(image), g):
             return False
     return True
-
-
-ALL_TAGS = (FULL_TORUS, AXIS, SAME_SIGN_ALL_NONZERO, NO_UNIT_WEIGHTS,
-            ZERO_AND_UNIT_SAME_SIGN, MIXED_SIGNS)
 
 
 class TestClassification:
