@@ -8,6 +8,7 @@ representing elements of the ground field.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -18,15 +19,15 @@ ZeroPattern = frozenset
 
 
 def _check(weights, zeros) -> tuple[tuple[int, ...], frozenset[int]]:
-    weights = tuple(int(x) for x in weights)
-    zeros = frozenset(int(i) for i in zeros)
+    weights = tuple(map(operator.index, weights))
+    zeros = frozenset(map(operator.index, zeros))
     if any(i < 1 or i > len(weights) for i in zeros):
         raise DimensionMismatch("zero pattern indices out of range")
     return weights, zeros
 
 
 def group_dim(weights) -> int:
-    weights = tuple(int(x) for x in weights)
+    weights = tuple(map(operator.index, weights))
     return len(weights) - (1 if any(weights) else 0)
 
 
@@ -84,7 +85,7 @@ def is_orbit_closed(weights, zeros) -> bool:
 
 def is_stable(weights) -> bool:
     """The action is stable iff all weights are nonzero of one sign."""
-    weights = tuple(int(x) for x in weights)
+    weights = tuple(map(operator.index, weights))
     if any(x == 0 for x in weights):
         return False
     return all(x > 0 for x in weights) or all(x < 0 for x in weights)
@@ -97,7 +98,7 @@ def invariant_monomial(weights):
     componentwise-nonnegative candidate exists only when the weights do not
     mix signs; the minimal one is +-the weight vector itself.
     """
-    weights = tuple(int(x) for x in weights)
+    weights = tuple(map(operator.index, weights))
     if not any(weights):
         return None
     if all(x >= 0 for x in weights):
@@ -111,7 +112,7 @@ def limit_pattern(weights, zeros, d):
     """Zero pattern of the limit along the one-parameter subgroup t^d, or None
     when the limit does not exist."""
     weights, zeros = _check(weights, zeros)
-    d = tuple(int(x) for x in d)
+    d = tuple(map(operator.index, d))
     if len(d) != len(weights):
         raise DimensionMismatch("exponent vector length mismatch")
     if sum(x * y for x, y in zip(d, weights)):
@@ -153,9 +154,9 @@ def orbit_report(weights, zeros) -> OrbitReport:
 
 
 def action_report(weights) -> ActionReport:
-    weights = tuple(int(x) for x in weights)
+    weights = tuple(map(operator.index, weights))
     mono = invariant_monomial(weights)
-    axes = tuple(i for i, x in enumerate(weights, start=1) if x) if any(weights) else ()
+    axes = tuple(i for i, x in enumerate(weights, start=1) if x)
     return ActionReport(
         group_dim=group_dim(weights),
         stable=is_stable(weights),

@@ -141,9 +141,8 @@ def _cmd_conjugate(args):
         witness = None if perm is None else {"permutation": _perm_1based(perm)}
         return perm is not None, witness
     if args.group == "crn":
-        ok = diag.conjugate_in_crn(g1, g2)
-        witness = {"unimodular_matrix": diag.crn_conjugator(g1, g2)} if ok else None
-        return ok, witness
+        m = diag.crn_conjugator(g1, g2)
+        return m is not None, None if m is None else {"unimodular_matrix": m}
     # autn-codim1: rank-one weight inputs, decided by the canonical form
     if a.rows != 1 or b.rows != 1:
         raise UsageError("--group autn-codim1 expects single-row weight matrices")

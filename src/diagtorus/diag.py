@@ -1,7 +1,7 @@
 """Diagonalizable subgroups of the diagonal torus.
 
-A subgroup is identified by its ambient dimension and the row lattice of a
-defining exponent matrix.  This module answers equality, isomorphism type,
+A subgroup is identified by the row lattice of a defining exponent matrix;
+the width of its basis is the ambient dimension.  This module answers equality, isomorphism type,
 and conjugacy questions under GL_n / the monomial group, the polynomial
 automorphism group (codimension one), and the full birational group, with
 explicit witnesses and canonical forms.
@@ -9,6 +9,7 @@ explicit witnesses and canonical forms.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd, prod
 
@@ -21,21 +22,19 @@ from .lattice import RowLattice, equal, lattice_of, permuted_equal
 class DiagSubgroup:
     """The joint kernel of the characters given by the rows of a matrix."""
 
-    ambient_dim: int
     lattice: RowLattice
 
-    def __post_init__(self) -> None:
-        if self.lattice.ambient_dim != self.ambient_dim:
-            raise DimensionMismatch("lattice ambient dimension mismatch")
+    @property
+    def ambient_dim(self) -> int:
+        return self.lattice.ambient_dim
 
     @classmethod
     def from_matrix(cls, a: IntMatrix) -> "DiagSubgroup":
-        return cls(a.cols, lattice_of(a))
+        return cls(lattice_of(a))
 
     @classmethod
     def from_weights(cls, weights) -> "DiagSubgroup":
-        weights = tuple(int(x) for x in weights)
-        return cls.from_matrix(IntMatrix.from_rows([weights], len(weights)))
+        return cls.from_matrix(IntMatrix.from_rows([weights]))
 
 
 @dataclass(frozen=True)
@@ -74,13 +73,10 @@ def dimension(g: DiagSubgroup) -> int:
 
 def iso_type(g: DiagSubgroup) -> IsoType:
     facs = invariant_factors(g.lattice.basis)
-    return IsoType(g.ambient_dim - g.lattice.rank,
-                   tuple(d for d in facs if d > 1))
+    return IsoType(dimension(g), tuple(d for d in facs if d > 1))
 
 
 def subgroups_equal(g1: DiagSubgroup, g2: DiagSubgroup) -> bool:
-    if g1.ambient_dim != g2.ambient_dim:
-        raise DimensionMismatch("subgroups live in different ambient tori")
     return equal(g1.lattice, g2.lattice)
 
 
@@ -103,27 +99,22 @@ def conjugate_in_crn(g1: DiagSubgroup, g2: DiagSubgroup) -> bool:
     return iso_type(g1) == iso_type(g2)
 
 
-def _padded_basis(g: DiagSubgroup, m: int) -> IntMatrix:
-    rows = list(g.lattice.basis.entries)
-    while len(rows) < m:
-        rows.append(tuple(0 for _ in range(g.ambient_dim)))
-    return IntMatrix(m, g.ambient_dim, tuple(rows))
-
-
 def crn_conjugator(g1: DiagSubgroup, g2: DiagSubgroup):
     """Unimodular exponent matrix of a monomial birational conjugator, or None.
 
-    With S = U_A A V_A = U_B B V_B (same Smith form once the bases are padded
-    to a common row count), M = V_A V_B^-1 satisfies
+    Decided from the Smith forms of the two Hermite bases, which have one row
+    per unit of rank: for one width, equal diagonals mean equal iso types.
+    Then S = U_A A V_A = U_B B V_B, and M = V_A V_B^-1 satisfies
     transform(g1.lattice, M) = g2.lattice.  V_B^-1 is tracked during the
     elimination, so nothing is inverted.
     """
-    if not conjugate_in_crn(g1, g2):
+    if g1.ambient_dim != g2.ambient_dim:
+        raise DimensionMismatch("subgroups live in different ambient tori")
+    sa = smith_normal_form(g1.lattice.basis)
+    sb, vb_inv = _smith(g2.lattice.basis, track_inverse=True)
+    if sa.factors != sb.factors:
         return None
-    m = max(g1.lattice.rank, g2.lattice.rank)
-    va = smith_normal_form(_padded_basis(g1, m)).V
-    _, vb_inv = _smith(_padded_basis(g2, m), track_inverse=True)
-    return va @ vb_inv
+    return sa.V @ vb_inv
 
 
 def crn_canonical(g: DiagSubgroup) -> CanonicalCrn:
@@ -145,7 +136,7 @@ def codim1_canonical(weights):
     automorphisms: the lexicographically smaller of the ascending sorts of the
     vector and its negation.  The result is weakly increasing and lex-at-most
     its negated reversal."""
-    weights = tuple(int(x) for x in weights)
+    weights = tuple(map(operator.index, weights))
     if not any(weights):
         raise ZeroVector("weight vector must be nonzero")
     up = tuple(sorted(weights))
@@ -163,8 +154,8 @@ def codim1_conjugator(weights, other):
     lexicographically least sigma for that sign.  The lex-least of the two
     is returned, eps = 1 on ties.
     """
-    weights = tuple(int(x) for x in weights)
-    other = tuple(int(x) for x in other)
+    weights = tuple(map(operator.index, weights))
+    other = tuple(map(operator.index, other))
     if len(weights) != len(other):
         raise DimensionMismatch("weight vectors have different lengths")
     found = []
@@ -186,7 +177,7 @@ def codim1_conjugator(weights, other):
 def crn_codim1_canonical(weights):
     """Canonical birational representative of a codimension-one subgroup:
     the kernel of the d-th power of the last coordinate character, d = gcd."""
-    weights = tuple(int(x) for x in weights)
+    weights = tuple(map(operator.index, weights))
     if not any(weights):
         raise ZeroVector("weight vector must be nonzero")
     return tuple(0 for _ in weights[:-1]) + (gcd(*weights),)
@@ -194,8 +185,8 @@ def crn_codim1_canonical(weights):
 
 def torus_equal_1dim(weights, other) -> bool:
     """Equality of one-dimensional subtori given by primitive weight vectors."""
-    weights = tuple(int(x) for x in weights)
-    other = tuple(int(x) for x in other)
+    weights = tuple(map(operator.index, weights))
+    other = tuple(map(operator.index, other))
     if gcd(*weights) != 1 or gcd(*other) != 1:
         raise NotPrimitive("entries must have gcd 1")
     return weights == other or weights == tuple(-x for x in other)
@@ -204,7 +195,7 @@ def torus_equal_1dim(weights, other) -> bool:
 def aut3_torus_canonical(weights):
     """Canonical representative of a one-dimensional torus in dimension three,
     unique under coordinate permutation and global sign."""
-    weights = tuple(int(x) for x in weights)
+    weights = tuple(map(operator.index, weights))
     if len(weights) != 3:
         raise DimensionMismatch("expected a 3-vector")
     if not any(weights):

@@ -9,6 +9,7 @@ integers; there are no fractions and no floating point anywhere.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations, cycle
 from math import comb, gcd
@@ -41,7 +42,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows, cols: int | None = None) -> "IntMatrix":
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple(map(operator.index, r)) for r in rows)
         if cols is None:
             if not rows:
                 raise ValueError("cols required for an empty matrix")

@@ -8,6 +8,7 @@ agree on full-row-rank inputs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -35,12 +36,11 @@ class RowLattice:
     two lattices are equal exactly when their bases compare equal.
     """
 
-    ambient_dim: int
     basis: IntMatrix
 
-    def __post_init__(self) -> None:
-        if self.basis.cols != self.ambient_dim:
-            raise DimensionMismatch("basis width differs from ambient dimension")
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.cols
 
     @property
     def rank(self) -> int:
@@ -48,12 +48,12 @@ class RowLattice:
 
 
 def lattice_of(a: IntMatrix) -> RowLattice:
-    return RowLattice(a.cols, hermite_normal_form(a))
+    return RowLattice(hermite_normal_form(a))
 
 
 def contains(lat: RowLattice, v) -> bool:
     """True iff v is an integer combination of the basis rows."""
-    v = [int(x) for x in v]
+    v = list(map(operator.index, v))
     if len(v) != lat.ambient_dim:
         raise DimensionMismatch("vector length differs from ambient dimension")
     for row in lat.basis.entries:
@@ -148,7 +148,7 @@ def _swap_closed(h: IntMatrix, k: int, l: int) -> bool:
     d = gcd(*(row[k] - row[l] for row in h.entries))
     v = [0] * h.cols
     v[k], v[l] = -d, d
-    return contains(RowLattice(h.cols, h), v)
+    return contains(RowLattice(h), v)
 
 
 def permuted_equal(a: IntMatrix, b: IntMatrix):

@@ -9,6 +9,7 @@ certified subgroup of the true normalizer.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import factorial
 
@@ -51,7 +52,7 @@ def classify_case(weights) -> NormalizerCase:
     broader same-sign conditions because its normalizer picks up an affine
     translation and is not monomial.
     """
-    weights = tuple(int(x) for x in weights)
+    weights = tuple(map(operator.index, weights))
     if not any(weights):
         return NormalizerCase(FULL_TORUS)
     nonzero = [(i, x) for i, x in enumerate(weights, start=1) if x]
@@ -80,7 +81,7 @@ def monomial_normalizer(weights):
     follows the size of the group.  Its order is computed first, and a group
     of more than _LIST_BUDGET elements raises TooLarge.
     """
-    weights = tuple(int(x) for x in weights)
+    weights = tuple(map(operator.index, weights))
     n = len(weights)
     # a sign-reversing element exists iff l and -l agree up to permutation
     signs = (1, -1) if sorted(weights) == sorted(-x for x in weights) else (1,)
@@ -127,7 +128,7 @@ def monomial_centralizer(weights):
     primitive, so l = +-(e_a - e_b) and sigma is the transposition (a b).
     Any other l admits only the identity.
     """
-    weights = tuple(int(x) for x in weights)
+    weights = tuple(map(operator.index, weights))
     ident = tuple(range(len(weights)))
     support = [i for i, x in enumerate(weights) if x]
     if len(support) == 2 and sorted(weights[i] for i in support) == [-1, 1]:
@@ -139,7 +140,7 @@ def monomial_centralizer(weights):
 
 
 def normalizer_report(weights) -> NormalizerReport:
-    weights = tuple(int(x) for x in weights)
+    weights = tuple(map(operator.index, weights))
     case = classify_case(weights)
     perm_part = monomial_normalizer(weights)
     central = monomial_centralizer(weights)

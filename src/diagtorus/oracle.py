@@ -8,6 +8,7 @@ performance-tuned algorithms.
 
 from __future__ import annotations
 
+import operator
 from itertools import permutations, product
 
 from .errors import TooLarge
@@ -81,8 +82,8 @@ def closedness_search(weights, zeros, bound: int):
     Coordinates inside the pattern range over [-bound, bound]; their partial
     sums are tabulated once, so the loop only runs over the complement.
     """
-    weights = tuple(int(x) for x in weights)
-    zeros = frozenset(int(i) for i in zeros)
+    weights = tuple(map(operator.index, weights))
+    zeros = frozenset(map(operator.index, zeros))
     n = len(weights)
     inside = sorted(zeros)
     outside = [j for j in range(1, n + 1) if j not in zeros]
@@ -125,8 +126,8 @@ def perm_sign_exhaust(weights, other):
     Returns (sigma, eps) with weights[j] == eps * other[sigma[j]] for all j,
     or None.  Ground truth for canonical forms on rank-one inputs.
     """
-    weights = tuple(int(x) for x in weights)
-    other = tuple(int(x) for x in other)
+    weights = tuple(map(operator.index, weights))
+    other = tuple(map(operator.index, other))
     if len(weights) != len(other):
         return None
     n = len(weights)

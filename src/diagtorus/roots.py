@@ -9,6 +9,7 @@ stored via the representative whose minimum entry is zero.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb
 
@@ -75,7 +76,7 @@ def apply_derivation(rv: RootVector, monomial):
     Returns (coefficient, exponent vector) or None when the derivation kills
     the monomial.
     """
-    m = tuple(int(x) for x in monomial)
+    m = tuple(map(operator.index, monomial))
     if len(m) != len(rv.l):
         raise ValueError("monomial length mismatch")
     if any(x < 0 for x in m):
@@ -95,7 +96,7 @@ def weyl_action(sigma, rv: RootVector) -> RootVector:
     sigma-image of the old coordinate and carries the exponents along.
     """
     n = len(rv.l)
-    sigma = tuple(int(x) for x in sigma)
+    sigma = tuple(map(operator.index, sigma))
     if sorted(sigma) != list(range(n)):
         raise ValueError("not a permutation")
     new_l = [0] * n

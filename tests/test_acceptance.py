@@ -119,7 +119,7 @@ def test_acceptance_2_equality_criteria_agree():
         for a in mats:
             h = hermite_normal_form(a).entries
             s = _signature(a)
-            hermite[a] = h
+            hermite[a.entries] = h
             by_sig.setdefault(s, []).append(a)
             # matrices with equal row lattices must share a signature, which
             # makes the cross-signature pairs trivially correct: both criteria
@@ -132,7 +132,8 @@ def test_acceptance_2_equality_criteria_agree():
             for i in range(len(group)):
                 for j in range(i + 1, len(group)):
                     a, b = group[i], group[j]
-                    assert pluecker_equal(a, b) == (hermite[a] == hermite[b])
+                    same = hermite[a.entries] == hermite[b.entries]
+                    assert pluecker_equal(a, b) == same
                     total_pairs += 1
         # spot-check a sample of cross-signature pairs end to end
         rng = random.Random(99)
@@ -143,7 +144,7 @@ def test_acceptance_2_equality_criteria_agree():
                 a = rng.choice(by_sig[s1])
                 b = rng.choice(by_sig[s2])
                 assert not pluecker_equal(a, b)
-                assert hermite[a] != hermite[b]
+                assert hermite[a.entries] != hermite[b.entries]
                 total_pairs += 1
     rng = random.Random(7)
     for _ in range(500):

@@ -75,6 +75,15 @@ class TestGoldenOutputs:
         assert out == golden(True, {"unimodular_matrix": {
             "rows": 2, "cols": 2, "entries": [[0, 1], [1, 0]]}})
 
+    @pytest.mark.parametrize("b", [
+        "4 0",        # Z/2 x G_m against Z/4 x G_m: factors differ
+        "1 0; 0 2",   # rank 1 against rank 2, with the same nontrivial factor
+    ])
+    def test_conjugate_crn_none(self, capsys, b):
+        code, out = run(capsys, "conjugate", "--group", "crn", "--a", "2 0", "--b", b)
+        assert code == 0
+        assert out == golden(False)
+
     def test_conjugate_gln(self, capsys):
         code, out = run(capsys, "conjugate", "--group", "gln",
                         "--a", "1 0 0; 0 2 0", "--b", "0 1 0; 2 0 0")

@@ -90,6 +90,23 @@ class TestConjugacy:
 
     def test_crn_conjugator_none_when_not_conjugate(self):
         assert crn_conjugator(D((2, 0)), D((4, 0))) is None
+        # equal nontrivial factors, so only the rank tells these apart: G_m
+        # and the trivial group, the torus and G_m, Z/2 x G_m and Z/2
+        for g1, g2 in [(D((1, 0)), D((1, 0), (0, 1))), (D((0, 0)), D((1, 0))),
+                       (D((2, 0)), D((2, 0), (0, 1)))]:
+            assert crn_conjugator(g1, g2) is None
+            assert crn_conjugator(g2, g1) is None
+
+    @pytest.mark.parametrize("rows1,rows2", [
+        (((1, 0),), ((1, 0, 0),)),  # equal Smith diagonals
+        (((2, 0),), ((1, 0, 0),)),  # different Smith diagonals
+    ])
+    def test_crn_conjugator_needs_same_ambient(self, rows1, rows2):
+        with pytest.raises(DimensionMismatch) as want:
+            conjugate_in_crn(D(*rows1), D(*rows2))
+        with pytest.raises(DimensionMismatch) as got:
+            crn_conjugator(D(*rows1), D(*rows2))
+        assert str(got.value) == str(want.value)
 
     def test_crn_conjugator_witness_validates(self):
         rng = random.Random(17)

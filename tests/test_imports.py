@@ -1,6 +1,7 @@
 """Design rules of the package, checked on the source of every module:
 integer arithmetic only, the oracles reached only from the CLI's oracle
-subcommands, and permutations enumerated only by the oracles."""
+subcommands, permutations enumerated only by the oracles, and integer input
+taken strictly, never coerced, outside the CLI's text parsing."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,11 @@ from pathlib import Path
 import pytest
 
 import diagtorus
+from diagtorus import DiagSubgroup, IntMatrix, codim1_canonical, contains, lattice_of
+from diagtorus.action import orbit_report
+from diagtorus.normalizer import normalizer_report
+from diagtorus.oracle import closedness_search, perm_sign_exhaust
+from diagtorus.roots import RootVector, apply_derivation, weyl_action
 
 MODULES = {path.stem: path for path in Path(diagtorus.__file__).parent.glob("*.py")}
 
@@ -37,6 +43,26 @@ def importers(name: str) -> set[str]:
             if any(x == name or x.startswith(name + ".") for x in imported_names(path))}
 
 
+def int_coercers() -> set[str]:
+    """Modules that apply the builtin int to a comprehension's own variable,
+    as in tuple(int(x) for x in v): a coercion that truncates 1.9 and
+    parses "3" instead of rejecting them."""
+    found = set()
+    for stem, path in MODULES.items():
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                                     ast.GeneratorExp)):
+                continue
+            bound = {name.id for gen in node.generators
+                     for name in ast.walk(gen.target) if isinstance(name, ast.Name)}
+            if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                   and call.func.id == "int" and len(call.args) == 1
+                   and isinstance(call.args[0], ast.Name) and call.args[0].id in bound
+                   for call in ast.walk(node)):
+                found.add(stem)
+    return found
+
+
 def test_the_scan_sees_every_module():
     assert {"intmat", "lattice", "diag", "cli", "oracle", "__init__"} <= MODULES.keys()
 
@@ -52,3 +78,33 @@ def test_no_module_imports_fractions():
 def test_only_the_allowed_modules_import(name, allowed):
     # the allowed modules do import it today, so an empty scan cannot pass
     assert importers(name) == allowed
+
+
+def test_only_the_cli_coerces_with_int():
+    # the CLI parses text with int(tok), so an empty scan cannot pass
+    assert int_coercers() == {"cli"}
+
+
+_RV = RootVector(1, (0, 1))
+
+
+# each entry point with x where a 1 belongs
+@pytest.mark.parametrize("call", [
+    lambda x: IntMatrix.from_rows([[x, 2]]),
+    lambda x: DiagSubgroup.from_weights((x, 2)),
+    lambda x: contains(lattice_of(IntMatrix.identity(2)), (x, 0)),
+    lambda x: codim1_canonical((x, -2)),
+    lambda x: orbit_report((1, 2), (x,)),
+    lambda x: normalizer_report((x, 2)),
+    lambda x: apply_derivation(_RV, (x, 0)),
+    lambda x: weyl_action((x, 0), _RV),
+    lambda x: perm_sign_exhaust((x, 2), (2, 1)),
+    lambda x: closedness_search((x, -1), frozenset(), 2),
+], ids=["from_rows", "from_weights", "contains", "codim1_canonical", "orbit_report",
+        "normalizer_report", "apply_derivation", "weyl_action", "perm_sign_exhaust",
+        "closedness_search"])
+@pytest.mark.parametrize("bad", [1.9, "1", None], ids=["float", "str", "None"])
+def test_library_entry_points_reject_non_integers(call, bad):
+    call(1)
+    with pytest.raises(TypeError):
+        call(bad)
