@@ -18,6 +18,9 @@ from .errors import DimensionMismatch, NotInGroup
 ZeroPattern = frozenset
 
 
+# Public functions validate their input once.  Those the reports combine
+# have a private twin that trusts its input (stabilizer has _stabilizer), so
+# a report validates once, not again in every part.
 def _check(weights, zeros) -> tuple[tuple[int, ...], frozenset[int]]:
     weights = tuple(map(operator.index, weights))
     zeros = frozenset(map(operator.index, zeros))
@@ -27,7 +30,10 @@ def _check(weights, zeros) -> tuple[tuple[int, ...], frozenset[int]]:
 
 
 def group_dim(weights) -> int:
-    weights = tuple(map(operator.index, weights))
+    return _group_dim(tuple(map(operator.index, weights)))
+
+
+def _group_dim(weights) -> int:
     return len(weights) - (1 if any(weights) else 0)
 
 
@@ -57,7 +63,10 @@ def stabilizer(weights, zeros) -> IsoType:
     character with the restricted weights, so it looks like the weight-vector
     subgroup in dimension |zeros|.
     """
-    weights, zeros = _check(weights, zeros)
+    return _stabilizer(*_check(weights, zeros))
+
+
+def _stabilizer(weights, zeros) -> IsoType:
     restricted = [weights[i - 1] for i in sorted(zeros)]
     if not any(restricted):
         return IsoType(len(restricted), ())
@@ -74,18 +83,24 @@ def is_orbit_closed(weights, zeros) -> bool:
     closed iff the complement is empty, or the weights vanish on the pattern
     and are nonzero of one sign off it.
     """
-    weights, zeros = _check(weights, zeros)
+    return _is_orbit_closed(*_check(weights, zeros))
+
+
+def _is_orbit_closed(weights, zeros) -> bool:
     outside = [weights[j - 1] for j in range(1, len(weights) + 1) if j not in zeros]
     if not outside:
         return True
     if any(weights[i - 1] for i in zeros):
         return False
-    return is_stable(outside)
+    return _is_stable(outside)
 
 
 def is_stable(weights) -> bool:
     """The action is stable iff all weights are nonzero of one sign."""
-    weights = tuple(map(operator.index, weights))
+    return _is_stable(tuple(map(operator.index, weights)))
+
+
+def _is_stable(weights) -> bool:
     if any(x == 0 for x in weights):
         return False
     return all(x > 0 for x in weights) or all(x < 0 for x in weights)
@@ -98,7 +113,10 @@ def invariant_monomial(weights):
     componentwise-nonnegative candidate exists only when the weights do not
     mix signs; the minimal one is +-the weight vector itself.
     """
-    weights = tuple(map(operator.index, weights))
+    return _invariant_monomial(tuple(map(operator.index, weights)))
+
+
+def _invariant_monomial(weights):
     if not any(weights):
         return None
     if all(x >= 0 for x in weights):
@@ -133,7 +151,10 @@ def origin_in_closure(weights, zeros) -> bool:
     weights off the pattern must pair to zero against positive exponents,
     which happens iff they are all zero or mix signs.
     """
-    weights, zeros = _check(weights, zeros)
+    return _origin_in_closure(*_check(weights, zeros))
+
+
+def _origin_in_closure(weights, zeros) -> bool:
     outside = [weights[j - 1] for j in range(1, len(weights) + 1) if j not in zeros]
     if not outside or any(weights[i - 1] for i in zeros):
         return True
@@ -142,24 +163,24 @@ def origin_in_closure(weights, zeros) -> bool:
 
 def orbit_report(weights, zeros) -> OrbitReport:
     weights, zeros = _check(weights, zeros)
-    stab = stabilizer(weights, zeros)
+    stab = _stabilizer(weights, zeros)
     return OrbitReport(
         stabilizer=stab,
         stabilizer_dim=stab.torus_rank,
         stabilizer_order=stab.order,
-        orbit_dim=group_dim(weights) - stab.torus_rank,
-        closed=is_orbit_closed(weights, zeros),
-        origin_in_closure=origin_in_closure(weights, zeros),
+        orbit_dim=_group_dim(weights) - stab.torus_rank,
+        closed=_is_orbit_closed(weights, zeros),
+        origin_in_closure=_origin_in_closure(weights, zeros),
     )
 
 
 def action_report(weights) -> ActionReport:
     weights = tuple(map(operator.index, weights))
-    mono = invariant_monomial(weights)
+    mono = _invariant_monomial(weights)
     axes = tuple(i for i, x in enumerate(weights, start=1) if x)
     return ActionReport(
-        group_dim=group_dim(weights),
-        stable=is_stable(weights),
+        group_dim=_group_dim(weights),
+        stable=_is_stable(weights),
         has_nonconstant_invariants=mono is not None,
         invariant_monomial=mono,
         nonclosed_codim1_orbit_axes=axes,

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from math import factorial
 
-from .action import is_stable
+from .action import _is_stable
 from .errors import TooLarge
 
 FULL_TORUS = "full_torus"
@@ -52,13 +52,17 @@ def classify_case(weights) -> NormalizerCase:
     broader same-sign conditions because its normalizer picks up an affine
     translation and is not monomial.
     """
-    weights = tuple(map(operator.index, weights))
+    return _classify_case(tuple(map(operator.index, weights)))
+
+
+# the private twins trust their weights, so normalizer_report checks once
+def _classify_case(weights) -> NormalizerCase:
     if not any(weights):
         return NormalizerCase(FULL_TORUS)
     nonzero = [(i, x) for i, x in enumerate(weights, start=1) if x]
     if len(nonzero) == 1 and abs(nonzero[0][1]) == 1:
         return NormalizerCase(AXIS, axis=nonzero[0][0])
-    if is_stable(weights):
+    if _is_stable(weights):
         return NormalizerCase(SAME_SIGN_ALL_NONZERO)
     if all(abs(x) != 1 for x in weights):
         return NormalizerCase(NO_UNIT_WEIGHTS)
@@ -81,7 +85,10 @@ def monomial_normalizer(weights):
     follows the size of the group.  Its order is computed first, and a group
     of more than _LIST_BUDGET elements raises TooLarge.
     """
-    weights = tuple(map(operator.index, weights))
+    return _monomial_normalizer(tuple(map(operator.index, weights)))
+
+
+def _monomial_normalizer(weights):
     n = len(weights)
     # a sign-reversing element exists iff l and -l agree up to permutation
     signs = (1, -1) if sorted(weights) == sorted(-x for x in weights) else (1,)
@@ -128,7 +135,10 @@ def monomial_centralizer(weights):
     primitive, so l = +-(e_a - e_b) and sigma is the transposition (a b).
     Any other l admits only the identity.
     """
-    weights = tuple(map(operator.index, weights))
+    return _monomial_centralizer(tuple(map(operator.index, weights)))
+
+
+def _monomial_centralizer(weights):
     ident = tuple(range(len(weights)))
     support = [i for i, x in enumerate(weights) if x]
     if len(support) == 2 and sorted(weights[i] for i in support) == [-1, 1]:
@@ -141,9 +151,9 @@ def monomial_centralizer(weights):
 
 def normalizer_report(weights) -> NormalizerReport:
     weights = tuple(map(operator.index, weights))
-    case = classify_case(weights)
-    perm_part = monomial_normalizer(weights)
-    central = monomial_centralizer(weights)
+    case = _classify_case(weights)
+    perm_part = _monomial_normalizer(weights)
+    central = _monomial_centralizer(weights)
     explicit = None
     note = None
     contained = True

@@ -2,14 +2,15 @@
 
 These deliberately avoid the modules they arbitrate: membership and counting
 go through Smith-form divisibility or plain enumeration, never through the
-Hermite-basis code in the lattice module.  They are correctness oracles, not
-performance-tuned algorithms.
+Hermite-basis code in the lattice module.  They are correctness oracles, so
+each search is complete: it saves work only where that provably loses no
+answer, as when the perm/sign search drops a prefix that no sign fits.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import permutations, product
+from itertools import product
 
 from .errors import TooLarge
 from .intmat import IntMatrix, smith_normal_form
@@ -121,10 +122,18 @@ def default_closedness_bound(weights) -> int:
 
 
 def perm_sign_exhaust(weights, other):
-    """Exhaustive search over S_n x {+-1} for l = eps * (l' o sigma).
+    """Complete search over S_n x {+-1} for l = eps * (l' o sigma).
 
-    Returns (sigma, eps) with weights[j] == eps * other[sigma[j]] for all j,
-    or None.  Ground truth for canonical forms on rank-one inputs.
+    Returns the lexicographically least sigma, with eps = 1 when both signs
+    fit, such that weights[j] == eps * other[sigma[j]] for all j; or None.
+    Ground truth for canonical forms on rank-one inputs.
+
+    Backtracking assigns sigma(0), sigma(1), ... trying the unused columns in
+    increasing order, and carries the signs that fit every position so far.
+    A prefix that no sign fits cannot extend to a solution, so pruning it
+    skips nothing and the first full assignment is the lex-least answer.
+    The worst case is still factorial (repeated weights that never match
+    visit every arrangement of the repeats), hence the n <= 8 cap.
     """
     weights = tuple(map(operator.index, weights))
     other = tuple(map(operator.index, other))
@@ -133,8 +142,26 @@ def perm_sign_exhaust(weights, other):
     n = len(weights)
     if n > 8:
         raise TooLarge("factorial search limited to n <= 8")
-    for sigma in permutations(range(n)):
-        for eps in (1, -1):
-            if all(weights[j] == eps * other[sigma[j]] for j in range(n)):
-                return sigma, eps
-    return None
+    sigma: list[int] = []
+    used = [False] * n
+
+    def search(signs):
+        j = len(sigma)
+        if j == n:
+            return tuple(sigma), 1 if 1 in signs else -1
+        for k in range(n):
+            if used[k]:
+                continue
+            fits = [e for e in signs if weights[j] == e * other[k]]
+            if not fits:
+                continue
+            sigma.append(k)
+            used[k] = True
+            found = search(fits)
+            if found:
+                return found
+            used[k] = False
+            sigma.pop()
+        return None
+
+    return search((1, -1))

@@ -1,7 +1,8 @@
 """Design rules of the package, checked on the source of every module:
 integer arithmetic only, the oracles reached only from the CLI's oracle
-subcommands, permutations enumerated only by the oracles, and integer input
-taken strictly, never coerced, outside the CLI's text parsing."""
+subcommands and independent of the modules they arbitrate, no module
+enumerating permutations with itertools, and integer input taken strictly,
+never coerced, outside the CLI's text parsing."""
 
 import ast
 from pathlib import Path
@@ -73,11 +74,22 @@ def test_no_module_imports_fractions():
 
 @pytest.mark.parametrize("name,allowed", [
     ("diagtorus.oracle", {"cli", "__init__"}),
-    ("itertools.permutations", {"oracle"}),
 ])
 def test_only_the_allowed_modules_import(name, allowed):
     # the allowed modules do import it today, so an empty scan cannot pass
     assert importers(name) == allowed
+
+
+def test_no_module_imports_permutations():
+    assert importers("itertools.permutations") == set()
+
+
+def test_the_oracle_imports_none_of_the_modules_it_arbitrates():
+    # an oracle that called codim1_conjugator or permuted_equal would certify
+    # the production code against itself; intmat shows the scan reads oracle
+    assert "oracle" in importers("diagtorus.intmat")
+    for stem in ("diag", "lattice", "normalizer", "action", "roots"):
+        assert "oracle" not in importers(f"diagtorus.{stem}")
 
 
 def test_only_the_cli_coerces_with_int():

@@ -1,4 +1,5 @@
-from itertools import product
+import random
+from itertools import permutations, product
 
 import pytest
 
@@ -85,7 +86,73 @@ class TestClosednessSearch:
         assert default_closedness_bound(()) == 3
 
 
+def _perm_sign_reference(weights, other):
+    """The plain enumeration: every sigma in lexicographic order, eps = 1
+    before eps = -1, the first pair that fits."""
+    if len(weights) != len(other):
+        return None
+    n = len(weights)
+    for sigma in permutations(range(n)):
+        for eps in (1, -1):
+            if all(weights[j] == eps * other[sigma[j]] for j in range(n)):
+                return sigma, eps
+    return None
+
+
+def _images(weights):
+    n = len(weights)
+    return {tuple(eps * weights[s] for s in sigma)
+            for sigma in permutations(range(n)) for eps in (1, -1)}
+
+
 class TestPermSignExhaust:
+    def test_agrees_with_enumeration_on_all_small_vectors(self):
+        rng = random.Random(8)
+        for n in range(6):
+            for l in product((-1, 0, 2), repeat=n):
+                others = _images(l)
+                others.add(tuple(rng.choice((-1, 0, 2)) for _ in range(n)))
+                for other in others:
+                    assert perm_sign_exhaust(l, other) == _perm_sign_reference(l, other)
+
+    def test_agrees_with_enumeration_on_unrelated_vectors(self):
+        rng = random.Random(81)
+        for _ in range(2000):
+            n = rng.randrange(7)
+            l, other = ([rng.randrange(-2, 3) for _ in range(n)] for _ in range(2))
+            assert perm_sign_exhaust(l, other) == _perm_sign_reference(l, other)
+
+    def test_empty(self):
+        assert perm_sign_exhaust((), ()) == ((), 1) == _perm_sign_reference((), ())
+
+    @pytest.mark.parametrize("l", [(1, -1, 0), (2, -2, 1, -1), (3, 0, -3, 0, 5, -5)])
+    def test_sign_symmetric(self, l):
+        # both signs fit some sigma: the lex-least sigma wins, then eps = 1
+        assert perm_sign_exhaust(l, l) == (tuple(range(len(l))), 1)
+        for other in _images(l):
+            assert perm_sign_exhaust(l, other) == _perm_sign_reference(l, other)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_agrees_with_enumeration_on_distinct_values(self, n):
+        # distinct weights from -9..9, matched under a random sigma and sign,
+        # or missed by shifting one entry of a permuted copy by 20
+        rng = random.Random(n)
+        for _ in range(4):
+            l = rng.sample(range(-9, 10), n)
+            sigma = rng.sample(range(n), n)
+            eps = rng.choice((1, -1))
+            other = [0] * n
+            for j in range(n):
+                other[sigma[j]] = eps * l[j]
+            assert perm_sign_exhaust(l, other) == _perm_sign_reference(l, other) is not None
+            miss = rng.sample(l, n)
+            miss[rng.randrange(n)] += 20
+            assert perm_sign_exhaust(l, miss) is _perm_sign_reference(l, miss) is None
+
+    def test_repeated_weights_miss(self):
+        # the worst case left: every order of the repeats is tried
+        assert perm_sign_exhaust((1,) * 8, (1,) * 7 + (2,)) is None
+
     def test_examples(self):
         assert perm_sign_exhaust((1, 2), (2, 1)) == ((1, 0), 1)
         assert perm_sign_exhaust((1, 2), (-2, -1)) == ((1, 0), -1)
