@@ -9,6 +9,7 @@ agree on full-row-rank inputs.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -110,10 +111,6 @@ def transform(lat: RowLattice, mat: IntMatrix) -> RowLattice:
     return lattice_of(lat.basis @ mat)
 
 
-def _column_gcds(h: IntMatrix, n: int) -> tuple[int, ...]:
-    return tuple(gcd(*(row[j] for row in h.entries)) for j in range(n))
-
-
 def _annihilator_rows(h: IntMatrix, e: int) -> list[list[int]]:
     """Generators of {y in Z^n : h y = 0 (mod e)}, as rows; e = 0 gives the
     right kernel of h.
@@ -138,14 +135,60 @@ def _projection(rows, cols) -> list[list[int]]:
     return work[:_hermite_pass(work, len(cols))]
 
 
-def _swap_closed(h: IntMatrix, k: int, l: int) -> bool:
+def _pair_colours(h: IntMatrix) -> list[list[tuple[int, int]]]:
+    """The colour (gcd(col_j - col_k), gcd(col_j + col_k)) of each pair of
+    columns of the Hermite basis h, as a symmetric n x n table.
+
+    For an integer functional c, gcd{v.c : v in L} is an invariant of the
+    lattice L, read off a basis as the gcd of the entries of h c; c = e_j -+
+    e_k gives the colour, and the diagonal (0, 2 gcd(col_j)) carries the
+    column gcd.  A column permutation p carrying the lattice of b onto that
+    of a therefore carries the colour of (p_j, p_k) on b to that of (j, k)
+    on a.
+    """
+    cols = [[row[j] for row in h.entries] for j in range(h.cols)]
+    table = [[(0, 2 * gcd(*x))] * h.cols for x in cols]
+    for j, x in enumerate(cols):
+        for k in range(j + 1, h.cols):
+            y = cols[k]
+            table[j][k] = table[k][j] = (gcd(*map(operator.sub, x, y)),
+                                          gcd(*map(operator.add, x, y)))
+    return table
+
+
+def _refine(ta: list, tb: list):
+    """Joint colour refinement (1-dimensional Weisfeiler-Leman) of the
+    columns of two pair-colour tables.
+
+    Columns start from their diagonal colour.  Each round recolours column j
+    by its colour and the sorted multiset of (pair colour, colour) over all
+    columns, with ids numbered from the signatures of both sides at once so
+    that they agree.  Returns the two lists of class ids once a round splits
+    no class, or None as soon as the signature multisets differ: then no
+    column permutation preserves the colours, let alone the lattices.
+    """
+    ca = [row[j] for j, row in enumerate(ta)]
+    cb = [row[j] for j, row in enumerate(tb)]
+    while True:
+        sa = [(c, tuple(sorted(zip(row, ca)))) for c, row in zip(ca, ta)]
+        sb = [(c, tuple(sorted(zip(row, cb)))) for c, row in zip(cb, tb)]
+        if sorted(sa) != sorted(sb):
+            return None
+        ids = {s: i for i, s in enumerate(sorted(set(sa)))}
+        if len(ids) == len(set(ca)):
+            return ca, cb
+        ca = [ids[s] for s in sa]
+        cb = [ids[s] for s in sb]
+
+
+def _swap_closed(h: IntMatrix, k: int, l: int, d: int) -> bool:
     """True iff swapping columns k and l maps the row lattice of the Hermite
     basis h onto itself.
 
     The swap changes a row by (row[k] - row[l]) (e_l - e_k), so it is closed
-    iff d (e_l - e_k) lies in the lattice, d the gcd of those differences.
+    iff d (e_l - e_k) lies in the lattice, d the gcd of those differences
+    (the first entry of the pair's colour).
     """
-    d = gcd(*(row[k] - row[l] for row in h.entries))
     v = [0] * h.cols
     v[k], v[l] = -d, d
     return contains(RowLattice(h), v)
@@ -158,22 +201,33 @@ def permuted_equal(a: IntMatrix, b: IntMatrix):
     matrix with columns (b[:, p[0]], ..., b[:, p[n-1]]) spans the same row
     lattice as a, or None.
 
-    Backtracking assigns columns in order.  A permutation that matches the
-    lattices also matches their right kernels and, with e the largest
-    invariant factor, their annihilators mod e; and it matches the
-    projections of all three onto any set of columns.  So each partial
-    assignment p[:j] must carry the three projections of b onto those of a
-    on the first j columns, and pruning never skips the lex-least answer.
-    The kernel prunes where the row lattice projects onto all of Z^j (rank
-    n - 1), the annihilator where a full-rank sublattice of index > 1 does.
-    The a-side projections are computed when the search first reaches their
-    depth.  At depth n the row check is lattice equality itself.  Each column
-    also needs its gcd to match.
+    A matching permutation preserves the pair colours of the Hermite bases
+    (_pair_colours), so it maps each class of their joint colour refinement
+    (_refine) onto the class of the same id; when the refinement tells the
+    two sides apart the answer is None without a search.  Backtracking then
+    assigns columns in order, each position only from its class.  A
+    permutation that matches the lattices also matches their right kernels
+    and, with e the largest invariant factor, their annihilators mod e; and
+    it matches the projections of all three onto any set of columns.  So a
+    partial assignment p[:j] must carry the three projections of b onto
+    those of a on the first j columns, and pruning never skips the
+    lex-least answer.  The kernel prunes where the row lattice projects
+    onto all of Z^j (rank n - 1), the annihilator where a full-rank
+    sublattice of index > 1 does.  The number of candidates at each
+    position is fixed by the classes, and past the last position with more
+    than one, the rest of the path is forced: those prefixes are not
+    checked, and at depth n the row lattices are compared, which is lattice
+    equality itself.  The a-side projections are computed when the search
+    first reaches their depth.
 
     Columns k < l of b whose swap fixes the lattice of b lead to the same
     answers up to that swap, so once k has failed at a position, l is not
     tried there: repeated weights cost one branch, not all their orders.
-    The search raises TooLarge after _NODE_BUDGET partial assignments.
+    The search raises TooLarge after _NODE_BUDGET partial assignments.  It
+    can still get there on a large class that refinement cannot split, whose
+    symmetries are not column swaps and whose prefix projections agree deep
+    into the order: generic lattices of rank about n/2 whose pair colours
+    are all alike, from about n = 12.
     """
     if a.cols != b.cols:
         raise DimensionMismatch("operands must have the same column count")
@@ -187,22 +241,31 @@ def permuted_equal(a: IntMatrix, b: IntMatrix):
     factors = invariant_factors(ha)
     if factors != invariant_factors(hb):
         return None
-    ga = _column_gcds(ha, n)
-    gb = _column_gcds(hb, n)
-    if sorted(ga) != sorted(gb):
+    colours = _pair_colours(hb)
+    classes = _refine(_pair_colours(ha), colours)
+    if classes is None:
         return None
-    e = max(factors, default=0)
-    pairs = [(ha.entries, hb.entries), (_annihilator_rows(ha, 0), _annihilator_rows(hb, 0))]
-    if e > 1:
-        pairs.append((_annihilator_rows(ha, e), _annihilator_rows(hb, e)))
+    ca, cb = classes
+    left = Counter(cb)
+    last = 0  # the last position with more than one candidate
+    for j, c in enumerate(ca):
+        if left[c] > 1:
+            last = j
+        left[c] -= 1
+    pairs = [(ha.entries, hb.entries)]
+    if last:
+        pairs.append((_annihilator_rows(ha, 0), _annihilator_rows(hb, 0)))
+        e = max(factors, default=0)
+        if e > 1:
+            pairs.append((_annihilator_rows(ha, e), _annihilator_rows(hb, e)))
     wants: list[list] = [[None] * (n + 1) for _ in pairs]
     swaps: dict[tuple[int, int], bool] = {}
     perm: list[int] = []
     used = [False] * n
     nodes = 0
 
-    def fits(j: int) -> bool:
-        for (ra, rb), want in zip(pairs, wants):
+    def fits(j: int, checks) -> bool:
+        for (ra, rb), want in zip(checks, wants):
             if want[j] is None:
                 want[j] = _projection(ra, range(j))
             if _projection(rb, perm) != want[j]:
@@ -211,23 +274,23 @@ def permuted_equal(a: IntMatrix, b: IntMatrix):
 
     def twin(k: int, l: int) -> bool:
         if (k, l) not in swaps:
-            swaps[k, l] = _swap_closed(hb, k, l)
+            swaps[k, l] = _swap_closed(hb, k, l, colours[k][l][0])
         return swaps[k, l]
 
     def search() -> bool:
         nonlocal nodes
         j = len(perm)
         if j == n:
-            return True
+            return fits(n, pairs[:1])
         failed: list[int] = []
         for k in range(n):
-            if used[k] or gb[k] != ga[j] or any(twin(f, k) for f in failed):
+            if used[k] or cb[k] != ca[j] or any(twin(f, k) for f in failed):
                 continue
             nodes += 1
             if nodes > _NODE_BUDGET:
                 raise TooLarge("column permutation search exceeds its node budget")
             perm.append(k)
-            if fits(j + 1):
+            if j >= last or fits(j + 1, pairs):
                 used[k] = True
                 if search():
                     return True

@@ -19,17 +19,24 @@ DN_STAR = "Dn_star"
 
 @dataclass(frozen=True)
 class RootVector:
-    """The derivation x_1^{l_1} ... x_n^{l_n} d/dx_i (coefficient 1)."""
+    """The derivation x_1^{l_1} ... x_n^{l_n} d/dx_i (coefficient 1).
+
+    i and the entries of l are taken through operator.index, so a float or
+    a string raises TypeError instead of reaching root_of.
+    """
 
     i: int
     l: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.i <= len(self.l):
+        i, l = operator.index(self.i), tuple(map(operator.index, self.l))
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "l", l)
+        if not 1 <= i <= len(l):
             raise ValueError("index out of range")
-        if any(x < 0 for x in self.l):
+        if min(l) < 0:
             raise ValueError("exponents must be nonnegative")
-        if self.l[self.i - 1] != 0:
+        if l[i - 1] != 0:
             raise ValueError("the differentiated coordinate must have exponent 0")
 
 

@@ -2,7 +2,8 @@
 integer arithmetic only, the oracles reached only from the CLI's oracle
 subcommands and independent of the modules they arbitrate, no module
 enumerating permutations with itertools, and integer input taken strictly,
-never coerced, outside the CLI's text parsing."""
+never coerced, outside the CLI's text parsing.  No module imports a
+package that only the tests use."""
 
 import ast
 from pathlib import Path
@@ -80,6 +81,12 @@ def test_only_the_allowed_modules_import(name, allowed):
     assert importers(name) == allowed
 
 
+@pytest.mark.parametrize("name", ["networkx", "sympy", "numpy", "hypothesis"])
+def test_no_module_imports_a_test_only_package(name):
+    # available offline and used by tests, but never a runtime dependency
+    assert importers(name) == set()
+
+
 def test_no_module_imports_permutations():
     assert importers("itertools.permutations") == set()
 
@@ -110,10 +117,13 @@ _RV = RootVector(1, (0, 1))
     lambda x: normalizer_report((x, 2)),
     lambda x: apply_derivation(_RV, (x, 0)),
     lambda x: weyl_action((x, 0), _RV),
+    lambda x: RootVector(x, (0, 1)),
+    lambda x: RootVector(1, (0, x)),
     lambda x: perm_sign_exhaust((x, 2), (2, 1)),
     lambda x: closedness_search((x, -1), frozenset(), 2),
 ], ids=["from_rows", "from_weights", "contains", "codim1_canonical", "orbit_report",
-        "normalizer_report", "apply_derivation", "weyl_action", "perm_sign_exhaust",
+        "normalizer_report", "apply_derivation", "weyl_action", "RootVector_i",
+        "RootVector_l", "perm_sign_exhaust",
         "closedness_search"])
 @pytest.mark.parametrize("bad", [1.9, "1", None], ids=["float", "str", "None"])
 def test_library_entry_points_reject_non_integers(call, bad):

@@ -1,6 +1,7 @@
 import random
 import time
-from itertools import permutations
+from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 
@@ -17,6 +18,7 @@ from diagtorus import (
 )
 from diagtorus.cli import main
 from diagtorus.errors import DimensionMismatch, NotUnimodular, RankDeficient, TooLarge
+from diagtorus.intmat import hermite_normal_form, invariant_factors
 from diagtorus.oracle import lattice_equal_bounded
 
 
@@ -369,6 +371,141 @@ class TestPermutedEqualMatchesBruteForce:
                 b[rng.randrange(m)][rng.randrange(n)] += rng.choice((-1, 1))
             a, b = _mat(a, n), _mat(b, n)
             assert permuted_equal(a, b) == lex_least_permutation(a, b), (a, b)
+
+
+def _permuted(rows, p, n):
+    return _mat([[row[k] for k in p] for row in rows], n)
+
+
+def _block_family(k):
+    # a = span(e_1 + e_2, ..., e_2k-1 + e_2k); b has e_1 - e_2 first
+    n = 2 * k
+    a = [[int(c // 2 == i) for c in range(n)] for i in range(k)]
+    b = [row[:] for row in a]
+    b[0][1] = -1
+    return a, b
+
+
+def _colour_graph(nx, h):
+    """Complete graph on the columns of a Hermite basis: each node carries
+    its column gcd, each edge (j, k) the gcds of col_j - col_k and
+    col_j + col_k, computed here from the entries."""
+    cols = [[row[j] for row in h.entries] for j in range(h.cols)]
+    g = nx.Graph()
+    for j, x in enumerate(cols):
+        g.add_node(j, gcd=gcd(*x))
+    for j, k in combinations(range(h.cols), 2):
+        x, y = cols[j], cols[k]
+        g.add_edge(j, k, colour=(gcd(*(s - t for s, t in zip(x, y))),
+                                 gcd(*(s + t for s, t in zip(x, y)))))
+    return g
+
+
+class TestColumnRefinement:
+    def test_distinct_values_against_brute_force(self):
+        # [1 ... 1; v] with distinct v: the pair colours are |v_j - v_k| and
+        # gcd(2, v_j + v_k), so refinement separates most columns
+        rng = random.Random(47)
+        for n in range(2, 7):
+            for trial in range(6):
+                v = rng.sample(range(-4, 8), n)
+                a = [[1] * n, v]
+                if trial % 2:
+                    w = rng.sample(v, n)
+                    w[rng.randrange(n)] += rng.choice((-1, 1, 2))
+                    b = _shuffled(rng, [[1] * n, w], n)
+                else:
+                    b = _shuffled(rng, a, n)
+                a, b = _mat(a, n), _mat(b, n)
+                assert permuted_equal(a, b) == lex_least_permutation(a, b), (a, b)
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 8, 16])
+    def test_block_family(self, k):
+        # the first block projects to span(1, 1) on a and span(1, -1) on b:
+        # the refinement tells them apart before any search
+        a, b = _block_family(k)
+        n = 2 * k
+        t0 = time.perf_counter()
+        assert permuted_equal(_mat(a, n), _mat(b, n)) is None
+        assert time.perf_counter() - t0 < 1.0
+        # every column looks alike, so the search runs in one class; the
+        # lex-least match takes the least free column, then its partner
+        rng = random.Random(k)
+        s = rng.sample(range(n), n)
+        partner = {j: s.index(s[j] ^ 1) for j in range(n)}
+        want = []
+        for j in range(n):
+            if j not in want:
+                want += [j, partner[j]]
+        t0 = time.perf_counter()
+        assert permuted_equal(_mat(a, n), _permuted(a, s, n)) == tuple(want)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_discrete_colourings_are_checked_at_the_leaf(self):
+        # b is a with its columns shuffled and one of them negated: every
+        # column gcd survives, and refinement often pins each column of a to
+        # one column of b while the lattices differ.  Then every position has
+        # one candidate, no prefix is checked, and only the comparison at
+        # depth n can answer None.
+        rng = random.Random(53)
+        misses = 0
+        for _ in range(4000):
+            n = rng.randint(2, 6)
+            m = rng.randint(1, min(3, n))
+            a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+            b = _shuffled(rng, a, n)
+            k = rng.randrange(n)
+            for row in b:
+                row[k] = -row[k]
+            ha, hb = hermite_normal_form(_mat(a, n)), hermite_normal_form(_mat(b, n))
+            if ha.rows != hb.rows or invariant_factors(ha) != invariant_factors(hb):
+                continue
+            classes = lattice._refine(lattice._pair_colours(ha), lattice._pair_colours(hb))
+            if classes is None or len(set(classes[0])) < n:
+                continue
+            ca, cb = classes
+            forced = tuple(cb.index(c) for c in ca)
+            got = permuted_equal(_mat(a, n), _mat(b, n))
+            if equal(lattice_of(_permuted(b, forced, n)), lattice_of(_mat(a, n))):
+                assert got == forced, (a, b)
+                continue
+            misses += 1
+            assert got is None, (a, b)
+            if n <= 4:
+                assert lex_least_permutation(_mat(a, n), _mat(b, n)) is None, (a, b)
+        assert misses >= 80
+
+    def test_refinement_is_sound(self):
+        nx = pytest.importorskip("networkx")
+        iso = nx.algorithms.isomorphism
+        node_match = iso.categorical_node_match("gcd", None)
+        edge_match = iso.categorical_edge_match("colour", None)
+        rng = random.Random(59)
+        told_apart = 0
+        for _ in range(600):
+            n = rng.randint(1, 6)
+            m = rng.randint(0, min(3, n))
+            a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+            b = _shuffled(rng, a, n)
+            if m and rng.random() < 0.5:
+                b[rng.randrange(m)][rng.randrange(n)] += rng.choice((-1, 1))
+            elif rng.random() < 0.5:
+                k = rng.randrange(n)
+                for row in b:
+                    row[k] = -row[k]
+            ha, hb = hermite_normal_form(_mat(a, n)), hermite_normal_form(_mat(b, n))
+            ga, gb = _colour_graph(nx, ha), _colour_graph(nx, hb)
+            if lattice._refine(lattice._pair_colours(ha), lattice._pair_colours(hb)) is None:
+                assert not nx.is_isomorphic(ga, gb, node_match=node_match,
+                                            edge_match=edge_match), (a, b)
+                told_apart += sorted(ga.nodes("gcd")) == sorted(gb.nodes("gcd"))
+            p = permuted_equal(_mat(a, n), _mat(b, n))
+            if p is not None:
+                assert all(ga.nodes[j]["gcd"] == gb.nodes[p[j]]["gcd"] for j in range(n))
+                assert all(ga.edges[j, k]["colour"] == gb.edges[p[j], p[k]]["colour"]
+                           for j, k in ga.edges)
+        # refinement, not the column gcds alone, told these pairs apart
+        assert told_apart >= 20
 
 
 class TestPermutedEqualCost:
