@@ -52,8 +52,16 @@ def enumerate_root_vectors(n: int, max_degree: int) -> list[RootVector]:
     if n < 1 or max_degree < 0:
         raise ValueError("need n >= 1 and max_degree >= 0")
     rest = _bounded_tuples(n - 1, max_degree)
-    return [RootVector(i, l[:i - 1] + (0,) + l[i - 1:])
+    return [_unchecked(i, l[:i - 1] + (0,) + l[i - 1:])
             for i in range(1, n + 1) for l in rest]
+
+
+def _unchecked(i: int, l: tuple[int, ...]) -> RootVector:
+    """RootVector(i, l) for fields valid by construction, without the checks
+    of __post_init__, which cost about four times as much."""
+    rv = object.__new__(RootVector)
+    rv.__dict__.update(i=i, l=l)
+    return rv
 
 
 def _bounded_tuples(k: int, bound: int) -> list[tuple[int, ...]]:
@@ -69,12 +77,14 @@ def root_of(rv: RootVector, relative_to: str = DN) -> Root:
     """The character by which the torus scales the derivation."""
     if relative_to not in (DN, DN_STAR):
         raise ValueError(f"unknown group tag: {relative_to!r}")
-    exps = list(rv.l)
-    exps[rv.i - 1] -= 1
-    if relative_to == DN_STAR:
-        low = min(exps)
-        exps = [x - low for x in exps]
-    return Root(tuple(exps), relative_to)
+    i, l = rv.i - 1, rv.l
+    if relative_to == DN:
+        return Root(l[:i] + (-1,) + l[i + 1:], DN)
+    # l >= 0 and l_i = 0, so min(l - e_i) = -1 and the representative is
+    # l + (1, ..., 1) with 0 at position i
+    exps = [x + 1 for x in l]
+    exps[i] = 0
+    return Root(tuple(exps), DN_STAR)
 
 
 def apply_derivation(rv: RootVector, monomial):

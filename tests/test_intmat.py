@@ -18,8 +18,9 @@ from diagtorus import (
     smith_normal_form,
     transform,
 )
+from diagtorus import intmat
 from diagtorus.errors import NotUnimodular, RankDeficient
-from diagtorus.intmat import _minors, _smith
+from diagtorus.intmat import _hermite_pass, _identity_lists, _minors, _smith
 
 
 def small_matrix(max_dim=4, lo=-5, hi=5):
@@ -180,12 +181,11 @@ class TestSmithWitnesses:
         # (B sqrt k)^k, so ceil(k log2(B sqrt k)) + 1 bits hold any of them
         rng = random.Random(f"witness-bits-{shape}")
         bound = 100
-        for n in range(3, 25, 3):
-            m = {"square": n, "wide": n - 2, "tall": n + 2}[shape]
+        for k in range(4, 41, 4):
+            m, n = {"square": (k, k), "wide": (k, k + 2), "tall": (k + 2, k)}[shape]
             a = random_matrix(rng, m, n, bound)
             dec = smith_normal_form(a)
             assert dec.U @ a @ dec.V == dec.S
-            k = min(m, n)
             hadamard = math.ceil(k * math.log2(bound * math.sqrt(k))) + 1
             assert max_bits(dec.U, dec.V) <= 8 * hadamard, (m, n)
 
@@ -230,6 +230,138 @@ class TestInverseUnimodular:
     def test_rejects_non_unimodular(self, rows):
         with pytest.raises(NotUnimodular):
             inverse_unimodular(IntMatrix.from_rows(rows))
+
+
+def column_wise_pass(work, width, inverse=None):
+    """A Hermite pass that reduces every remaining row against the row of
+    least |entry|, a column at a time: the reference the row-by-row pass
+    must match wherever the result is unique."""
+    m = len(work)
+    r = 0
+    for col in range(width):
+        if r == m:
+            break
+        while True:
+            nz = [i for i in range(r, m) if work[i][col]]
+            if len(nz) <= 1:
+                break
+            base = min(nz, key=lambda i: abs(work[i][col]))
+            nz.remove(base)
+            b = work[base]
+            p = b[col]
+            for i in nz:
+                q = work[i][col] // p
+                work[i] = [x - q * y for x, y in zip(work[i], b)]
+                if inverse is not None:
+                    inverse[base] = [x + q * y for x, y in zip(inverse[base], inverse[i])]
+        if not nz:
+            continue
+        i = nz[0]
+        work[r], work[i] = work[i], work[r]
+        if inverse is not None:
+            inverse[r], inverse[i] = inverse[i], inverse[r]
+        if work[r][col] < 0:
+            work[r] = [-x for x in work[r]]
+            if inverse is not None:
+                inverse[r] = [-x for x in inverse[r]]
+        b = work[r]
+        p = b[col]
+        for k in range(r):
+            q = work[k][col] // p
+            if q:
+                work[k] = [x - q * y for x, y in zip(work[k], b)]
+                if inverse is not None:
+                    inverse[r] = [x + q * y for x, y in zip(inverse[r], inverse[k])]
+        r += 1
+    return r
+
+
+def with_identity(rows):
+    return [list(row) + [int(i == j) for j in range(len(rows))] for i, row in enumerate(rows)]
+
+
+class TestHermitePass:
+    """The row-by-row pass against the column-wise reference."""
+
+    def test_hermite_forms_match_the_column_wise_pass(self):
+        rng = random.Random("hermite-pass-vs-column-wise")
+        deficient = repeated = 0
+        for trial in range(600):
+            m, n = rng.randint(0, 8), rng.randint(0, 8)
+            rows = random_matrix(rng, m, n, rng.choice((1, 9, 1000))).to_lists()
+            if trial % 3 == 1 and m > 2:
+                i, j = rng.sample(range(m - 1), 2)
+                c, d = rng.randint(-3, 3), rng.randint(-3, 3)
+                rows[-1] = [c * x + d * y for x, y in zip(rows[i], rows[j])]
+                deficient += 1
+            elif trial % 3 == 2 and m > 1:
+                rows[-1] = list(rows[rng.randrange(m - 1)])
+                repeated += 1
+            want = [list(row) for row in rows]
+            r = column_wise_pass(want, n)
+            got = [list(row) for row in rows]
+            assert _hermite_pass(got, n) == r
+            assert got[:r] == want[:r], rows
+            assert not any(map(any, got[r:]))
+        assert deficient >= 120 and repeated >= 120
+
+    @pytest.mark.parametrize("shape", ["square", "wide"])
+    def test_transform_matches_where_it_is_unique(self, shape):
+        # a full-row-rank matrix has one U with U A in Hermite form, so the
+        # witness and its tracked inverse transpose must come out byte for byte
+        rng = random.Random(f"hermite-pass-unique-{shape}")
+        for trial in range(60):
+            m = rng.randint(1, 9)
+            n = m if shape == "square" else rng.randint(m + 1, m + 4)
+            a = random_matrix(rng, m, n, rng.choice((3, 100)))
+            if hermite_normal_form(a).rows < m:
+                continue
+            want, want_inv = with_identity(a.entries), _identity_lists(m)
+            column_wise_pass(want, n, want_inv)
+            got, got_inv = with_identity(a.entries), _identity_lists(m)
+            _hermite_pass(got, n, got_inv)
+            assert (got, got_inv) == (want, want_inv), a
+
+    @pytest.mark.parametrize("m,n", [(20, 20), (22, 20), (6, 4)])
+    def test_inverse_is_the_inverse_transpose_of_the_witness(self, m, n, monkeypatch):
+        steps = []
+        euclid = intmat._euclid
+
+        def counting(a, b):
+            steps.append((a, b))
+            return euclid(a, b)
+
+        monkeypatch.setattr(intmat, "_euclid", counting)
+        rng = random.Random(f"hermite-pass-inverse-{m}x{n}")
+        for _ in range(3):
+            a = random_matrix(rng, m, n, 100)
+            work, inverse = with_identity(a.entries), _identity_lists(m)
+            r = _hermite_pass(work, n, inverse)
+            w = IntMatrix.from_rows([row[n:] for row in work], m)
+            h = IntMatrix.from_rows([row[:n] for row in work], n)
+            assert w @ a == h
+            assert hermite_normal_form(a).entries == h.entries[:r]
+            wt = IntMatrix.from_rows(list(zip(*w.entries)), m)
+            assert wt @ IntMatrix.from_rows(inverse, m) == IntMatrix.identity(m)
+        assert steps, "no Euclid transform was exercised"
+
+    def test_lattices_match_sympy(self):
+        # sympy's Hermite form is column-style: its columns span the column
+        # lattice, so it is taken of the transpose and compared as a lattice
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+
+        rng = random.Random("hermite-pass-sympy")
+        for trial in range(150):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            rows = random_matrix(rng, m, n, rng.choice((2, 9, 1000))).to_lists()
+            if trial % 2 and m > 1:
+                rows[-1] = [2 * x for x in rows[0]]
+            a = IntMatrix.from_rows(rows, n)
+            basis = sympy_hnf(sympy.Matrix(rows).T).T
+            want = IntMatrix.from_rows([[int(x) for x in basis.row(i)]
+                                        for i in range(basis.rows)], n)
+            assert hermite_normal_form(a) == hermite_normal_form(want), rows
 
 
 def random_unimodular(n, rng, steps=6):

@@ -59,6 +59,17 @@ class TestEnumeration:
                         if l[i - 1] == 0 and sum(l) <= d]
                 assert [(rv.i, rv.l) for rv in enumerate_root_vectors(n, d)] == want
 
+    def test_enumerated_vectors_equal_checked_ones(self):
+        # enumeration skips __post_init__; the checked constructor must
+        # build the same objects
+        for n in range(1, 6):
+            for d in range(4):
+                for rv in enumerate_root_vectors(n, d):
+                    checked = RootVector(rv.i, rv.l)
+                    assert type(rv) is RootVector
+                    assert rv == checked and hash(rv) == hash(checked)
+                    assert (type(rv.i), type(rv.l)) == (int, tuple)
+
     def test_long_vectors_of_degree_0(self):
         out = enumerate_root_vectors(1200, 0)
         assert [(rv.i, sum(rv.l)) for rv in out] == [(i, 0) for i in range(1, 1201)]
@@ -76,7 +87,24 @@ class TestEnumeration:
             enumerate_root_vectors(2, -1)
 
 
+def root_by_definition(rv, relative_to):
+    """l - e_i, shifted to minimum 0 relative to the determinant-one torus."""
+    exps = list(rv.l)
+    exps[rv.i - 1] -= 1
+    if relative_to == DN_STAR:
+        low = min(exps)
+        exps = [x - low for x in exps]
+    return Root(tuple(exps), relative_to)
+
+
 class TestRoots:
+    @pytest.mark.parametrize("relative_to", [DN, DN_STAR])
+    def test_closed_forms_match_the_definition(self, relative_to):
+        for n in range(1, 7):
+            for d in range(4):
+                for rv in enumerate_root_vectors(n, d):
+                    assert root_of(rv, relative_to) == root_by_definition(rv, relative_to)
+
     def test_full_torus_root(self):
         assert root_of(RootVector(1, (0, 2))) == Root((-1, 2), DN)
         assert root_of(RootVector(2, (3, 0))) == Root((3, -1), DN)
