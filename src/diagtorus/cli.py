@@ -33,6 +33,15 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error instead of printing it and exiting, so the
+    payload carries argparse's reason; subparsers are built of this class
+    too."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _parse_matrix_text(text: str) -> IntMatrix:
     rows = []
     for part in text.replace("\n", ";").split(";"):
@@ -265,11 +274,10 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="diagtorus", description=__doc__, exit_on_error=False)
+    parser = _Parser(prog="diagtorus", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, exit_on_error=False)
+        p = sub.add_parser(name)
         for arg in arguments:
             if isinstance(arg, str):
                 p.add_argument(f"--{arg}", help="matrix literal, rows separated by ';'")
@@ -306,18 +314,10 @@ def _fail(code: int, kind: str, exc: Exception) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except (argparse.ArgumentError, SystemExit) as exc:
-        code = exc.code if isinstance(exc, SystemExit) else None
-        if isinstance(exc, SystemExit) and code == 0:
-            return 0  # --help
-        sys.stderr.write("" if isinstance(exc, SystemExit)
-                         else f"diagtorus: {exc}\n")
-        _emit({"schema_version": SCHEMA_VERSION, "ok": False,
-               "error": "usage", "message": str(exc)})
-        return 1
-    try:
         result, witness = args.func(args)
-    except UsageError as exc:
+    except SystemExit:  # only --help exits; it has printed the help
+        return 0
+    except (argparse.ArgumentError, UsageError) as exc:
         return _fail(1, "usage", exc)
     except ValueError as exc:
         return _fail(1, "value", exc)

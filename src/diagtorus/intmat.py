@@ -2,8 +2,9 @@
 
 Smith normal form with unimodular witnesses, row-style Hermite reduction,
 rank, determinants, and maximal minors.  One Hermite pass serves every
-elimination, and one alternation of those passes serves the Smith form with
-and without witnesses.  Everything runs on Python's arbitrary-precision
+elimination.  The Smith form alternates row and column passes that carry
+witness rows; the invariant factors alone alternate bare passes, starting
+from the column pass.  Everything runs on Python's arbitrary-precision
 integers; there are no fractions and no floating point anywhere.
 """
 
@@ -11,7 +12,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import combinations, cycle
+from functools import lru_cache
+from itertools import chain, combinations, count, cycle, repeat
 from math import comb, gcd
 
 from .errors import NotUnimodular, RankDeficient
@@ -53,21 +55,12 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls.from_rows(_identity_lists(n), n)
 
-    @classmethod
-    def zero(cls, m: int, n: int) -> "IntMatrix":
-        return cls(m, n, tuple(tuple(0 for _ in range(n)) for _ in range(m)))
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        out = []
-        for r in self.entries:
-            out.append(tuple(sum(r[k] * other.entries[k][j] for k in range(self.cols))
-                             for j in range(other.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
+        cols = list(zip(*other.entries)) or [()] * other.cols
+        return IntMatrix(self.rows, other.cols, tuple(
+            tuple([sum(map(operator.mul, r, c)) for c in cols]) for r in self.entries))
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
@@ -75,7 +68,7 @@ class IntMatrix:
 
 def determinant(a: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    if not a.is_square():
+    if a.rows != a.cols:
         raise ValueError("determinant of a non-square matrix")
     return _det(a.to_lists())
 
@@ -222,7 +215,7 @@ def inverse_unimodular(a: IntMatrix) -> IntMatrix:
     """
     n = a.rows
     inv = _identity_lists(n)
-    if a.is_square() and _witnessed_pass(a.to_lists(), inv, n, None) == _identity_lists(n):
+    if a.cols == n and _witnessed_pass(a.to_lists(), inv, n, None) == _identity_lists(n):
         return IntMatrix(n, n, tuple(tuple(row) for row in inv))
     raise NotUnimodular("matrix is not square with determinant +-1")
 
@@ -264,10 +257,9 @@ def _diagonalize(rows, u, vt, vinv) -> list[int]:
     Row and column Hermite passes alternate until the matrix is diagonal.
     The row pass carries the rows of u; the column pass is the row pass on
     the transpose and carries the rows of vt, mirroring each step on vinv
-    when it is not None.  Witness rows may be zero-width, which leaves the
-    factors alone.  Each pass leaves the unique Hermite form of its input,
-    so the matrices and the factors do not depend on how _hermite_pass
-    reaches it; the witnesses do.  The pass inserts rows into a reduced
+    when it is not None.  Each pass leaves the unique Hermite form of its
+    input, so the matrices and the factors do not depend on how
+    _hermite_pass reaches it; the witnesses do.  The pass inserts rows into a reduced
     echelon form, so a witness row is combined only with reduced rows, and
     a kernel row of u or vt is fixed when its row reduces to zero.  This
     keeps the bits of u and vt within a small multiple of the Hadamard bits
@@ -328,10 +320,27 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
-    """The nonzero Smith diagonal: the same Hermite passes and chain repair
-    as smith_normal_form, carrying zero-width witnesses."""
-    return tuple(_diagonalize(a.to_lists(), [[] for _ in range(a.rows)],
-                              [[] for _ in range(a.cols)], None))
+    """The nonzero Smith diagonal, from bare Hermite passes.
+
+    The transpose has the same factors, so the alternation starts with the
+    column pass: on a Hermite basis, which every caller in the package
+    passes, a row pass would change nothing.  Each pass drops its zero rows,
+    and the passes stop as _diagonalize's do.  The chain is then repaired on
+    the diagonal alone: (x, y) becomes (gcd, lcm).
+    """
+    rows, width = [list(c) for c in zip(*a.entries)], a.rows
+    while True:
+        width = _hermite_pass(rows, width)
+        del rows[width:]
+        if _is_diagonal(rows):
+            break
+        rows = [list(c) for c in zip(*rows)]
+    d = [row[i] for i, row in enumerate(rows)]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return tuple(d)
 
 
 def hermite_normal_form(a: IntMatrix) -> IntMatrix:
@@ -349,31 +358,63 @@ def rank(a: IntMatrix) -> int:
     return hermite_normal_form(a).rows
 
 
+# Laplace tables of at most this many terms are cached; a larger one, such
+# as the 999,000 terms of a 2 x 1000 matrix's second row, is streamed
+_CACHED_TABLE_TERMS = 1024
+
+
+def _laplace_table(n: int, k: int):
+    """An iterator over the terms of the Laplace expansion along row k of
+    every (k + 1)-minor on the columns range(n).
+
+    For each (k + 1)-subset s in combinations order it yields the triples
+    (s[t], i, parity), t = k, ..., 0, that combinations(s, k) gives: i
+    indexes s without s[t] among the k-subsets, and the parity of k + t is
+    the cofactor sign.
+    """
+    index = dict(zip(combinations(range(n), k), count()))
+    ids = map(index.__getitem__, chain.from_iterable(
+        map(combinations, combinations(range(n), k + 1), repeat(k))))
+    cols = chain.from_iterable(map(reversed, combinations(range(n), k + 1)))
+    return zip(*[zip(cols, ids, cycle([u % 2 for u in range(k + 1)]))] * (k + 1))
+
+
+@lru_cache(maxsize=32)
+def _cached_laplace_table(n: int, k: int) -> tuple | None:
+    """_laplace_table(n, k) as a tuple, or None past _CACHED_TABLE_TERMS."""
+    if comb(n, k + 1) * (k + 1) <= _CACHED_TABLE_TERMS:
+        return tuple(_laplace_table(n, k))
+    return None
+
+
 def _minors(rows, cols) -> dict[tuple[int, ...], int]:
     """Every len(rows)-square minor of rows on the columns cols, keyed by
-    0-based column tuples in combinations order.
+    column tuples of cols in combinations order.
 
     A Laplace expansion along row k reuses the minors of the first k rows
-    for the first k + 1: sum_k k C(n, k) terms, about 2^n as m nears n.  One
-    Bareiss elimination per minor costs, in the same units as measured,
-    about C(n, m) (3 + m^3 / 7).  It serves instead whenever that is no
-    more, which never happens when 2m <= n.
+    for the first k + 1: sum_k k C(n, k) terms, about 2^n as m nears n.  The
+    minors of each row are a list in combinations order, the terms come
+    from _laplace_table, which depends only on (n, k), and the dict is
+    keyed once at the end.  One Bareiss elimination per minor costs, in the
+    same units as measured, about C(n, m) (3 + m^3 / 7).  It serves instead
+    whenever that is no more, which never happens when 2m <= n.
     """
     m, n = len(rows), len(cols)
     if 2 * m > n and (sum(k * comb(n, k) for k in range(m + 1))
                       >= comb(n, m) * (3 + m ** 3 // 7)):
         return {s: _det([[row[j] for j in s] for row in rows]) for s in combinations(cols, m)}
-    minors: dict[tuple[int, ...], int] = {(): 1}
+    minors = [1]
     for k, row in enumerate(rows):
-        new = {}
-        for s in combinations(cols, k + 1):
+        row = [row[j] for j in cols]
+        new = []
+        for terms in _cached_laplace_table(n, k) or _laplace_table(n, k):
             d = 0
-            for t, j in enumerate(s):  # cofactor sign (-1)^(k + t)
-                x = row[j] * minors[s[:t] + s[t + 1:]]
-                d = d - x if (k + t) % 2 else d + x
-            new[s] = d
+            for j, i, odd in terms:
+                x = row[j] * minors[i]
+                d = d - x if odd else d + x
+            new.append(d)
         minors = new
-    return minors
+    return dict(zip(combinations(cols, m), minors))
 
 
 def pluecker_coordinates(a: IntMatrix) -> dict[tuple[int, ...], int]:

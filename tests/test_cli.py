@@ -211,6 +211,20 @@ class TestContracts:
             payload = json.loads(out)
             assert payload["ok"] is False
 
+    @pytest.mark.parametrize("argv,message", [
+        (("orbit",), "the following arguments are required: --weights"),
+        (("hnf", "--bogus", "1"), "unrecognized arguments: --bogus 1"),
+        ((), "the following arguments are required: command"),
+        (("roots", "--dim", "x", "--degree", "1"), "argument --dim: invalid int value: 'x'"),
+    ])
+    def test_usage_error_payload_carries_the_reason(self, capsys, argv, message):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert json.loads(out) == {"schema_version": 1, "ok": False,
+                                   "error": "usage", "message": message}
+        assert err == f"diagtorus: {message}\n"
+
     def test_precondition_violation_exits_2(self, capsys):
         for argv in [
             ("canonical", "--context", "aut3-torus", "--weights", "2 4 6"),

@@ -51,8 +51,9 @@ class TestSmithNormalForm:
         assert dec.factors == (1,)
 
     def test_zero_matrix(self):
-        dec = smith_normal_form(IntMatrix.zero(2, 3))
-        assert dec.S == IntMatrix.zero(2, 3)
+        zero = IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]])
+        dec = smith_normal_form(zero)
+        assert dec.S == zero
         assert dec.U == IntMatrix.identity(2)
         assert dec.V == IntMatrix.identity(3)
         assert dec.factors == ()
@@ -100,15 +101,26 @@ class TestSmithNormalForm:
             assert invariant_factors(p @ a @ q) == base
 
     def test_fast_path_agrees_with_witness_path(self):
-        # small entries and repeated rows make ties and zero rows common
+        # Hermite bases, which every caller in the package passes, and their
+        # transposes start the factors-only alternation from either side;
+        # small entries, repeated rows and zero rows make ties common
         rng = random.Random(3)
-        for _ in range(300):
-            m, n = rng.randint(0, 5), rng.randint(0, 5)
-            a = IntMatrix.from_rows(
-                [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)], n)
+        ranks = set()
+        for trial in range(400):
+            m, n = (0, 4) if trial == 0 else (5, 0) if trial == 1 else (
+                rng.randint(0, 6), rng.randint(0, 9))
+            bound = rng.choice((1, 9, 1000))
+            rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
             if m > 1 and rng.random() < 0.3:
-                a = IntMatrix.from_rows(a.entries[:-1] + (a.entries[0],), n)
-            assert invariant_factors(a) == smith_normal_form(a).factors
+                rows[-1] = rows[0]
+            if m and rng.random() < 0.2:
+                rows[rng.randrange(m)] = [0] * n
+            a = IntMatrix.from_rows(rows, n)
+            h = hermite_normal_form(a)
+            ranks.add(h.rows)
+            for x in (a, h, transpose(h)):
+                assert invariant_factors(x) == smith_normal_form(x).factors, x
+        assert ranks == set(range(7))
 
 
 class TestInvariantFactors:
@@ -134,7 +146,7 @@ class TestEmptyShapes:
 
     @pytest.mark.parametrize("m,n", [(0, 3), (0, 0), (3, 0)])
     def test_invariant_factors_of_an_empty_side(self, m, n):
-        assert invariant_factors(IntMatrix.zero(m, n)) == ()
+        assert invariant_factors(IntMatrix.from_rows([[0] * n] * m, n)) == ()
 
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_pluecker_coordinates_of_0_rows(self, n):
@@ -143,6 +155,10 @@ class TestEmptyShapes:
     def test_pluecker_coordinates_of_a_tall_matrix(self):
         with pytest.raises(RankDeficient):
             pluecker_coordinates(IntMatrix.from_rows([[1, 0], [0, 1], [1, 1]]))
+
+
+def transpose(a: IntMatrix) -> IntMatrix:
+    return IntMatrix.from_rows([[row[j] for row in a.entries] for j in range(a.cols)], a.rows)
 
 
 def random_matrix(rng, m, n, bound):
@@ -448,6 +464,9 @@ def bareiss_minors(a: IntMatrix, cols) -> dict[tuple[int, ...], int]:
 
 class TestMinors:
     def test_match_bareiss_on_every_column_subset(self):
+        # the Laplace tables depend only on (len(cols), row), so calls with
+        # one column count and several row counts, and the cofactor calls of
+        # pluecker_equal (m - 1 rows on m columns), share them in any order
         rng = random.Random("minors-vs-bareiss")
         deficient = zero_column = 0
         for trial in range(300):
@@ -473,6 +492,13 @@ class TestMinors:
             sub = _minors(a.entries, cols)
             assert list(sub) == list(combinations(cols, m))
             assert sub == bareiss_minors(a, cols)
+            k = rng.randint(0, m)
+            head = IntMatrix.from_rows(rows[:k], n)
+            assert _minors(head.entries, range(n)) == bareiss_minors(head, range(n))
+            key = tuple(sorted(rng.sample(range(n), m)))
+            j = rng.randrange(m)
+            cof = IntMatrix.from_rows(rows[:j] + rows[j + 1:], n)
+            assert _minors(cof.entries, key) == bareiss_minors(cof, key)
             if any(want.values()):
                 coords = pluecker_coordinates(a)
                 assert list(coords) == list(combinations(range(1, n + 1), m))
@@ -482,6 +508,16 @@ class TestMinors:
                 with pytest.raises(RankDeficient):
                     pluecker_coordinates(a)
         assert deficient >= 50 and zero_column >= 50
+        # past the cap: the second row's table of a 2 x 60 matrix has
+        # 2 C(60, 2) = 3,540 terms, and only the first row's is cached
+        assert 2 * math.comb(60, 2) > intmat._CACHED_TABLE_TERMS >= 60
+        a = random_matrix(rng, 2, 60, 1000)
+        got = _minors(a.entries, range(60))
+        assert list(got) == list(combinations(range(60), 2))
+        assert got == bareiss_minors(a, range(60))
+        cache = intmat._cached_laplace_table
+        assert len(cache(60, 0)) == 60 and cache(60, 1) is None
+        assert cache.cache_info().currsize <= cache.cache_info().maxsize
 
     @pytest.mark.parametrize("m,n", [(6, 6), (8, 9), (10, 11), (6, 9), (7, 11), (5, 10)])
     def test_match_sympy_on_both_sides_of_the_method_choice(self, m, n):
