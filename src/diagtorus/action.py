@@ -15,8 +15,6 @@ from math import gcd
 from .diag import IsoType
 from .errors import DimensionMismatch, NotInGroup
 
-ZeroPattern = frozenset
-
 
 # Public functions validate their input once.  Those the reports combine
 # have a private twin that trusts its input (stabilizer has _stabilizer), so

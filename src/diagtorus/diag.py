@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from .errors import DimensionMismatch, NotPrimitive, ZeroVector
-from .intmat import IntMatrix, _smith, invariant_factors, smith_normal_form
+from .intmat import IntMatrix, _witnessed_pass, invariant_factors, smith_normal_form
 from .lattice import RowLattice, equal, lattice_of, permuted_equal
 
 
@@ -105,16 +105,21 @@ def crn_conjugator(g1: DiagSubgroup, g2: DiagSubgroup):
     Decided from the Smith forms of the two Hermite bases, which have one row
     per unit of rank: for one width, equal diagonals mean equal iso types.
     Then S = U_A A V_A = U_B B V_B, and M = V_A V_B^-1 satisfies
-    transform(g1.lattice, M) = g2.lattice.  V_B^-1 is tracked during the
-    elimination, so nothing is inverted.
+    transform(g1.lattice, M) = g2.lattice.  M^T is solved for, not
+    multiplied out: the rows of V_B^T are unimodular, so their Hermite form
+    is the identity, and a Hermite pass on them carrying the rows of V_A^T
+    leaves (V_B^T)^-1 V_A^T = M^T in the witness.
     """
     if g1.ambient_dim != g2.ambient_dim:
         raise DimensionMismatch("subgroups live in different ambient tori")
     sa = smith_normal_form(g1.lattice.basis)
-    sb, vb_inv = _smith(g2.lattice.basis, track_inverse=True)
+    sb = smith_normal_form(g2.lattice.basis)
     if sa.factors != sb.factors:
         return None
-    return sa.V @ vb_inv
+    n = g1.ambient_dim
+    mt = [list(col) for col in zip(*sa.V.entries)]
+    _witnessed_pass([list(col) for col in zip(*sb.V.entries)], mt, n)
+    return IntMatrix(n, n, tuple(zip(*mt)))
 
 
 def crn_canonical(g: DiagSubgroup) -> CanonicalCrn:

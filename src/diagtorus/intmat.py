@@ -117,17 +117,15 @@ def _euclid(a: int, b: int) -> tuple[int, int, int, int]:
     return (c, d, e, f) if a > 0 else (-c, -d, e, f)
 
 
-def _hermite_pass(work: list[list[int]], width: int, inverse=None) -> int:
+def _hermite_pass(work: list[list[int]], width: int) -> int:
     """Row Hermite reduction, in place, of the first `width` columns of work.
 
     Nonzero rows come first, pivots are positive and strictly right-shifting
     downward, and entries above each pivot are reduced into [0, pivot); zero
     rows come last, in input order.  Entries past `width` ride along, so a
-    witness appended to the rows records the row operations.  When the
-    witness part of the rows is W, `inverse` (a list of rows) receives the
-    inverse-transpose operations and so stays (W^T)^-1: the transpose of a
-    row swap or sign flip is itself, and _euclid's [[c, d], [e, f]] of
-    determinant D becomes D [[f, -e], [-d, c]].  Returns the number of
+    witness appended to the rows records the row operations: with the
+    identity appended it becomes the transform, and with any other matrix B
+    appended it becomes the transform times B.  Returns the number of
     nonzero rows.
 
     The rows are inserted one at a time into a reduced echelon form (Kannan
@@ -158,12 +156,8 @@ def _hermite_pass(work: list[list[int]], width: int, inverse=None) -> int:
             if k == r or cols[k] != col:  # a new pivot, row k of the echelon
                 if row[col] < 0:
                     row = [-x for x in row]
-                    if inverse is not None:
-                        inverse[i] = [-x for x in inverse[i]]
                 del work[i]
                 work.insert(k, row)
-                if inverse is not None:
-                    inverse.insert(k, inverse.pop(i))
                 cols.insert(k, col)
                 changed.add(k)
                 r += 1
@@ -174,15 +168,10 @@ def _hermite_pass(work: list[list[int]], width: int, inverse=None) -> int:
                 c, d, e, f = _euclid(a, b)
                 work[k] = [c * x + d * y for x, y in zip(p, row)]
                 row = [e * x + f * y for x, y in zip(p, row)]
-                if inverse is not None:
-                    det = c * f - d * e
-                    _mix(inverse, k, i, det * f, -det * e, -det * d, det * c)
                 changed.add(k)
             else:
                 q = b // a
                 row = [y - q * x for x, y in zip(p, row)]
-                if inverse is not None:
-                    inverse[k] = [x + q * y for x, y in zip(inverse[k], inverse[i])]
             col += 1
             k += 1
         if not changed:
@@ -201,8 +190,6 @@ def _hermite_pass(work: list[list[int]], width: int, inverse=None) -> int:
                 q = work[j][c] // a
                 if q:
                     work[j] = [x - q * y for x, y in zip(work[j], p)]
-                    if inverse is not None:
-                        inverse[k] = [x + q * y for x, y in zip(inverse[k], inverse[j])]
                     dirty.add(j)
     return r
 
@@ -215,7 +202,7 @@ def inverse_unimodular(a: IntMatrix) -> IntMatrix:
     """
     n = a.rows
     inv = _identity_lists(n)
-    if a.cols == n and _witnessed_pass(a.to_lists(), inv, n, None) == _identity_lists(n):
+    if a.cols == n and _witnessed_pass(a.to_lists(), inv, n) == _identity_lists(n):
         return IntMatrix(n, n, tuple(tuple(row) for row in inv))
     raise NotUnimodular("matrix is not square with determinant +-1")
 
@@ -241,30 +228,29 @@ def _is_diagonal(a: list[list[int]]) -> bool:
     return not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(a))
 
 
-def _witnessed_pass(rows, wit, width: int, inverse) -> list[list[int]]:
+def _witnessed_pass(rows, wit, width: int) -> list[list[int]]:
     """_hermite_pass on rows carrying the witness rows wit, which are updated
     in place; returns the reduced rows."""
     work = [x + y for x, y in zip(rows, wit)]
-    _hermite_pass(work, width, inverse)
+    _hermite_pass(work, width)
     wit[:] = [w[width:] for w in work]
     return [w[:width] for w in work]
 
 
-def _diagonalize(rows, u, vt, vinv) -> list[int]:
+def _diagonalize(rows, u, vt) -> list[int]:
     """Nonzero Smith diagonal of the m x n matrix rows, in divisibility
     order; u and vt receive the row and column operations in place.
 
     Row and column Hermite passes alternate until the matrix is diagonal.
     The row pass carries the rows of u; the column pass is the row pass on
-    the transpose and carries the rows of vt, mirroring each step on vinv
-    when it is not None.  Each pass leaves the unique Hermite form of its
-    input, so the matrices and the factors do not depend on how
-    _hermite_pass reaches it; the witnesses do.  The pass inserts rows into a reduced
-    echelon form, so a witness row is combined only with reduced rows, and
-    a kernel row of u or vt is fixed when its row reduces to zero.  This
-    keeps the bits of u and vt within a small multiple of the Hadamard bits
-    of the matrix on every shape (tested to k = 40 on k x k, k x (k + 2)
-    and (k + 2) x k inputs).
+    the transpose and carries the rows of vt.  Each pass leaves the unique
+    Hermite form of its input, so the matrices and the factors do not depend
+    on how _hermite_pass reaches it; the witnesses do.  The pass inserts
+    rows into a reduced echelon form, so a witness row is combined only with
+    reduced rows, and a kernel row of u or vt is fixed when its row reduces
+    to zero.  This keeps the bits of u and vt within a small multiple of the
+    Hadamard bits of the matrix on every shape (tested to k = 40 on k x k,
+    k x (k + 2) and (k + 2) x k inputs).
 
     The passes terminate: from the second pass on, entry (0, 0) is positive
     and is the gcd of the column (row pass) or row (column pass) through it,
@@ -273,16 +259,16 @@ def _diagonalize(rows, u, vt, vinv) -> list[int]:
     again.  The same argument then applies to the trailing submatrix.
     """
     m, n = len(rows), len(vt)
-    for wit, width, inverse in cycle(((u, n, None), (vt, m, vinv))):
-        rows = _witnessed_pass(rows, wit, width, inverse)
+    for wit, width in cycle(((u, n), (vt, m))):
+        rows = _witnessed_pass(rows, wit, width)
         if _is_diagonal(rows):
             break
         rows = [list(c) for c in zip(*rows)]
     # The last pass left a diagonal Hermite form (of the matrix or of its
     # transpose): positive entries, zeros trailing.  Fix the divisibility
     # chain with 2 x 2 unimodular transforms taking diag(x, y) to diag(gcd,
-    # lcm): L = [[s, t], [-y/g, x/g]] on the left, R = [[1, -t*y/g], [1,
-    # s*x/g]] on the right, and R^-1 = [[s*x/g, t*y/g], [-1, 1]] on V^-1.
+    # lcm): L = [[s, t], [-y/g, x/g]] on the left and R = [[1, -t*y/g], [1,
+    # s*x/g]] on the right.
     d = [rows[i][i] for i in range(min(m, n)) if rows[i][i]]
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
@@ -295,28 +281,19 @@ def _diagonalize(rows, u, vt, vinv) -> list[int]:
                 d[i], d[j] = g, x * yg
                 _mix(u, i, j, s, t, -yg, xg)
                 _mix(vt, i, j, 1, 1, -t * yg, s * xg)
-                if vinv is not None:
-                    _mix(vinv, i, j, s * xg, t * yg, -1, 1)
     return d
-
-
-def _smith(a: IntMatrix, track_inverse: bool):
-    """Smith form with witnesses, and V^-1 when track_inverse is set."""
-    m, n = a.rows, a.cols
-    u, vt = _identity_lists(m), _identity_lists(n)
-    vinv = _identity_lists(n) if track_inverse else None
-    d = _diagonalize(a.to_lists(), u, vt, vinv)
-    S = IntMatrix(m, n, tuple(tuple(d[i] if i == j and i < len(d) else 0
-                                    for j in range(n)) for i in range(m)))
-    U = IntMatrix(m, m, tuple(tuple(row) for row in u))
-    V = IntMatrix(n, n, tuple(zip(*vt)))
-    Vinv = None if vinv is None else IntMatrix(n, n, tuple(tuple(row) for row in vinv))
-    return SmithDecomposition(U, S, V, tuple(d)), Vinv
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form with unimodular witnesses: S = U @ A @ V."""
-    return _smith(a, track_inverse=False)[0]
+    m, n = a.rows, a.cols
+    u, vt = _identity_lists(m), _identity_lists(n)
+    d = _diagonalize(a.to_lists(), u, vt)
+    S = IntMatrix(m, n, tuple(tuple(d[i] if i == j and i < len(d) else 0
+                                    for j in range(n)) for i in range(m)))
+    U = IntMatrix(m, m, tuple(tuple(row) for row in u))
+    V = IntMatrix(n, n, tuple(zip(*vt)))
+    return SmithDecomposition(U, S, V, tuple(d))
 
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:

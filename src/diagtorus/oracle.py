@@ -56,6 +56,8 @@ def torsion_count(group, modulus: int) -> int:
 
 def lattice_equal_bounded(a: IntMatrix, b: IntMatrix, bound: int) -> bool:
     """Compare the two row lattices inside the box ||v||_inf <= bound."""
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
     if a.cols != b.cols:
         return False
     n = a.cols
@@ -81,8 +83,11 @@ def closedness_search(weights, zeros, bound: int):
     d_j > 0 off the pattern.  Returns a witness d or None.
 
     Coordinates inside the pattern range over [-bound, bound]; their partial
-    sums are tabulated once, so the loop only runs over the complement.
+    sums are tabulated once, so the loop only runs over the complement.  A
+    witness needs some d_j > 0, so the bound must be at least 1.
     """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     weights = tuple(map(operator.index, weights))
     zeros = frozenset(map(operator.index, zeros))
     n = len(weights)
@@ -118,7 +123,8 @@ def closedness_search(weights, zeros, bound: int):
 
 
 def default_closedness_bound(weights) -> int:
-    return 3 * max((abs(x) for x in weights), default=1)
+    """Three times the largest |weight|; 3 when every weight is zero."""
+    return 3 * max((abs(x) for x in weights if x), default=1)
 
 
 def perm_sign_exhaust(weights, other):

@@ -225,6 +225,20 @@ class TestContracts:
                                    "error": "usage", "message": message}
         assert err == f"diagtorus: {message}\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (("oracle-lattice-equal", "--a", "1 0", "--b", "2 0", "--bound", "-1"),
+         "bound must be >= 0"),
+        (("oracle-closedness", "--weights", "1 -1", "--bound", "-1"),
+         "bound must be >= 1"),
+        (("oracle-closedness", "--weights", "1 -1", "--bound", "0"),
+         "bound must be >= 1"),
+    ])
+    def test_oracle_bound_out_of_range_exits_1(self, capsys, argv, message):
+        code, payload = run_json(capsys, *argv)
+        assert code == 1
+        assert payload == {"schema_version": 1, "ok": False,
+                           "error": "value", "message": message}
+
     def test_precondition_violation_exits_2(self, capsys):
         for argv in [
             ("canonical", "--context", "aut3-torus", "--weights", "2 4 6"),

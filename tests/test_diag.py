@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import permutations, product
 from math import gcd
@@ -29,6 +30,17 @@ from diagtorus.oracle import perm_sign_exhaust, torsion_count
 def D(*rows):
     n = len(rows[0])
     return DiagSubgroup.from_matrix(IntMatrix.from_rows(list(rows), n))
+
+
+def column_mix(rng, n):
+    """A unimodular n x n matrix: 2n column additions of +-1 times another."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        for row in m:
+            row[i] += c * row[j]
+    return IntMatrix.from_rows(m, n)
 
 
 class TestBasics:
@@ -135,17 +147,34 @@ class TestConjugacy:
         for _ in range(3):
             a = IntMatrix.from_rows(
                 [[rng.randint(-100, 100) for _ in range(n)] for _ in range(n)])
-            m = [[int(i == j) for j in range(n)] for i in range(n)]
-            for _ in range(2 * n):
-                i, j = rng.sample(range(n), 2)
-                c = rng.choice((-1, 1))
-                for row in m:
-                    row[i] += c * row[j]
             g1 = DiagSubgroup.from_matrix(a)
-            g2 = DiagSubgroup.from_matrix(a @ IntMatrix.from_rows(m))
+            g2 = DiagSubgroup.from_matrix(a @ column_mix(rng, n))
             w = crn_conjugator(g1, g2)
             assert abs(determinant(w)) == 1
             assert equal(transform(g1.lattice, w), g2.lattice)
+
+    @pytest.mark.parametrize("shape", ["square", "wide", "tall"])
+    def test_crn_conjugator_bits_within_hadamard_multiple(self, shape):
+        # every r x r minor of a with |entries| <= B is at most (B sqrt r)^r,
+        # r = min(m, n); the witness of a pair (a, a M) stays within a
+        # multiple of the bits that bound holds
+        from diagtorus import determinant, equal
+
+        rng = random.Random(f"crn-witness-bits-{shape}")
+        bound = 100
+        for k in range(4, 25, 4):
+            m, n = {"square": (k, k), "wide": (k, k + 4), "tall": (k + 2, k)}[shape]
+            a = IntMatrix.from_rows(
+                [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)])
+            g1 = DiagSubgroup.from_matrix(a)
+            g2 = DiagSubgroup.from_matrix(a @ column_mix(rng, n))
+            w = crn_conjugator(g1, g2)
+            assert abs(determinant(w)) == 1
+            assert equal(transform(g1.lattice, w), g2.lattice)
+            r = min(m, n)
+            hadamard = math.ceil(r * math.log2(bound * math.sqrt(r))) + 1
+            bits = max(abs(x).bit_length() for row in w.entries for x in row)
+            assert bits <= 8 * hadamard, (m, n, bits, hadamard)
 
 
 class TestCanonicalForms:

@@ -3,7 +3,7 @@ integer arithmetic only, the oracles reached only from the CLI's oracle
 subcommands and independent of the modules they arbitrate, no module
 enumerating permutations with itertools, and integer input taken strictly,
 never coerced, outside the CLI's text parsing.  No module imports a
-package that only the tests use."""
+package that only the tests use, and no module-level name goes unused."""
 
 import ast
 from pathlib import Path
@@ -65,6 +65,32 @@ def int_coercers() -> set[str]:
     return found
 
 
+def module_level_names(path: Path) -> set[str]:
+    """Names a module defines at its top level, dunders and imports aside."""
+    names = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name))
+    return {name for name in names if not name.startswith("__")}
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Names a module reads, reaches as attributes, or imports by name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
 def test_the_scan_sees_every_module():
     assert {"intmat", "lattice", "diag", "cli", "oracle", "__init__"} <= MODULES.keys()
 
@@ -97,6 +123,16 @@ def test_the_oracle_imports_none_of_the_modules_it_arbitrates():
     assert "oracle" in importers("diagtorus.intmat")
     for stem in ("diag", "lattice", "normalizer", "action", "roots"):
         assert "oracle" not in importers(f"diagtorus.{stem}")
+
+
+def test_every_module_level_name_is_used():
+    # __init__ imports every public name, so an export counts as a use; a
+    # helper that no caller reads any more is dead code
+    used = set().union(*map(referenced_names, MODULES.values()))
+    unused = {f"{stem}.{name}" for stem, path in MODULES.items()
+              for name in module_level_names(path) - used}
+    assert unused == set()
+    assert "_mix" in module_level_names(MODULES["intmat"])
 
 
 def test_only_the_cli_coerces_with_int():

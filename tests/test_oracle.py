@@ -59,6 +59,14 @@ class TestLatticeEqualBounded:
         with pytest.raises(TooLarge):
             lattice_equal_bounded(a, a, 10)
 
+    def test_negative_bound_is_rejected(self):
+        # the box would be empty and every pair would compare equal
+        with pytest.raises(ValueError):
+            lattice_equal_bounded(IntMatrix.from_rows([[1, 0]]),
+                                  IntMatrix.from_rows([[2, 0]]), -1)
+        assert not lattice_equal_bounded(IntMatrix.from_rows([[1, 0]]),
+                                         IntMatrix.from_rows([[2, 0]]), 1)
+
 
 class TestClosednessSearch:
     def test_examples(self):
@@ -83,6 +91,17 @@ class TestClosednessSearch:
 
     def test_default_bound(self):
         assert default_closedness_bound((1, -3, 2)) == 9
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_bound_below_one_is_rejected(self, bound):
+        # no d in the box has a positive entry, so "no witness" would be
+        # claimed for (1, -1), whose witness is (1, 1)
+        with pytest.raises(ValueError):
+            closedness_search((1, -1), frozenset(), bound)
+
+    def test_default_bound_of_zero_weights_finds_a_witness(self):
+        assert default_closedness_bound((0, 0)) == 3
+        assert closedness_search((0, 0), frozenset(), 3) == (0, 1)
         assert default_closedness_bound(()) == 3
 
 

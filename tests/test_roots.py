@@ -4,8 +4,9 @@ from itertools import permutations, product
 
 import pytest
 
+from diagtorus import roots
 from diagtorus.cli import main
-
+from diagtorus.errors import TooLarge
 from diagtorus.roots import (
     DN,
     DN_STAR,
@@ -79,6 +80,16 @@ class TestEnumeration:
         assert main(["roots", "--dim", "14", "--degree", "2"]) == 0
         assert time.perf_counter() - t0 < 1.0
         assert len(json.loads(capsys.readouterr().out)["result"]) == 1470
+
+    def test_listing_budget(self, monkeypatch, capsys):
+        # 3 * C(4, 2) = 18 vectors pass a budget of 18 and not one of 17
+        monkeypatch.setattr(roots, "_LIST_BUDGET", 18)
+        assert len(enumerate_root_vectors(3, 2)) == 18
+        monkeypatch.setattr(roots, "_LIST_BUDGET", 17)
+        with pytest.raises(TooLarge):
+            enumerate_root_vectors(3, 2)
+        assert main(["roots", "--dim", "3", "--degree", "2"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "TooLarge"
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
