@@ -22,7 +22,7 @@ import json
 import sys
 
 from . import action, diag, normalizer, oracle, roots
-from .errors import DiagTorusError
+from .errors import DiagTorusError, DimensionMismatch
 from .intmat import IntMatrix, hermite_normal_form, smith_normal_form
 from .lattice import equal, lattice_of, pluecker_equal
 
@@ -155,6 +155,8 @@ def _cmd_conjugate(args):
     # autn-codim1: rank-one weight inputs, decided by the canonical form
     if a.rows != 1 or b.rows != 1:
         raise UsageError("--group autn-codim1 expects single-row weight matrices")
+    if a.cols != b.cols:
+        raise DimensionMismatch("subgroups live in different ambient tori")
     ok = diag.codim1_canonical(a.entries[0]) == diag.codim1_canonical(b.entries[0])
     witness = None
     if ok:
@@ -273,10 +275,17 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(names=_COMMANDS) -> argparse.ArgumentParser:
+    """The argument parser with the subcommands in names, all by default.
+
+    No subcommand's parser depends on another's, so a parser holding only
+    the subcommand an argv names parses that argv, rejects it and prints its
+    help as the full parser does.
+    """
     parser = _Parser(prog="diagtorus", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, arguments) in _COMMANDS.items():
+    for name in names:
+        func, arguments = _COMMANDS[name]
         p = sub.add_parser(name)
         for arg in arguments:
             if isinstance(arg, str):
@@ -312,8 +321,13 @@ def _fail(code: int, kind: str, exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # only the named subcommand's parser is built; an empty argv, a leading
+    # option or an unknown name needs the full one for its help or its error
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(names).parse_args(argv)
         result, witness = args.func(args)
     except SystemExit:  # only --help exits; it has printed the help
         return 0

@@ -380,9 +380,10 @@ def _minors(rows, cols) -> dict[tuple[int, ...], int]:
     if 2 * m > n and (sum(k * comb(n, k) for k in range(m + 1))
                       >= comb(n, m) * (3 + m ** 3 // 7)):
         return {s: _det([[row[j] for j in s] for row in rows]) for s in combinations(cols, m)}
-    minors = [1]
-    for k, row in enumerate(rows):
-        row = [row[j] for j in cols]
+    # the first row's entries are its 1-minors; with no rows the one 0-minor is 1
+    minors = [rows[0][j] for j in cols] if m else [1]
+    for k in range(1, m):
+        row = [rows[k][j] for j in cols]
         new = []
         for terms in _cached_laplace_table(n, k) or _laplace_table(n, k):
             d = 0

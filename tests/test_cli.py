@@ -253,6 +253,17 @@ class TestContracts:
             assert payload["ok"] is False
             assert "error" in payload and "message" in payload
 
+    @pytest.mark.parametrize("a,b,error", [
+        ("1 2", "1 2 3", "DimensionMismatch"),
+        ("1 2 3", "0 1", "DimensionMismatch"),
+        ("0 0", "0 0", "ZeroVector"),
+    ])
+    def test_conjugate_codim1_checks_lengths_first(self, capsys, a, b, error):
+        code, payload = run_json(capsys, "conjugate", "--group", "autn-codim1",
+                                 "--a", a, "--b", b)
+        assert code == 2
+        assert payload["ok"] is False and payload["error"] == error
+
     @pytest.mark.parametrize("entry", ["1.9", "true", '"3"'])
     def test_matrix_json_rejects_non_integers(self, capsys, entry):
         obj = '{"rows":1,"cols":2,"entries":[[%s,2]]}' % entry
@@ -319,6 +330,103 @@ class TestInProcessCalls:
         assert capsys.readouterr().out == ""
         cli._emit({"x": IsoType(1, (2,))})
         assert capsys.readouterr().out == '{"x":{"factors":[2],"torus_rank":1}}\n'
+
+
+def declared(name):
+    """Each flag the subcommand declares, with its add_argument keywords; a
+    matrix operand stands for its --x form."""
+    for arg in cli._COMMANDS[name][1]:
+        yield (f"--{arg}", {}) if isinstance(arg, str) else arg
+
+
+def valid_argv(name, replace=()):
+    """An argv the subcommand's parser accepts, with the value of each flag
+    in replace swapped for the one given there (None drops the flag)."""
+    argv = [name]
+    for flag, keywords in declared(name):
+        value = dict(replace).get(flag, keywords.get("choices", ["1"])[-1])
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+def invalid_argvs(name):
+    yield valid_argv(name) + ["--bogus", "1"]
+    for flag, keywords in declared(name):
+        if keywords.get("required"):
+            yield valid_argv(name, {flag: None})
+        if "choices" in keywords:
+            yield valid_argv(name, {flag: "no-such-choice"})
+        if keywords.get("type") is int:
+            yield valid_argv(name, {flag: "x"})
+
+
+def parse_error(parser, argv) -> str:
+    with pytest.raises(argparse.ArgumentError) as info:
+        parser.parse_args(argv)
+    return str(info.value)
+
+
+@pytest.fixture
+def subparsers_built(monkeypatch):
+    """The subcommand names added to any parser during the test, in order."""
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    return built
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+class TestOneSubcommandParser:
+    def test_same_namespace(self, name):
+        argv = valid_argv(name)
+        assert cli.build_parser([name]).parse_args(argv) == \
+            cli.build_parser().parse_args(argv)
+
+    def test_same_errors(self, name):
+        for argv in invalid_argvs(name):
+            assert parse_error(cli.build_parser([name]), argv) == \
+                parse_error(cli.build_parser(), argv), argv
+
+    def test_same_help(self, capsys, name):
+        helps = []
+        for parser in (cli.build_parser([name]), cli.build_parser()):
+            with pytest.raises(SystemExit):
+                parser.parse_args([name, "--help"])
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1]
+        assert helps[0].startswith(f"usage: diagtorus {name} ")
+
+
+class TestParserPerRun:
+    def test_main_builds_only_the_named_subcommand(self, capsys, subparsers_built):
+        code, out = run(capsys, "hnf", "--matrix", "1 2")
+        assert (code, out) == (0, golden({"rows": 1, "cols": 2, "entries": [[1, 2]]}))
+        assert subparsers_built == ["hnf"]
+
+    def test_no_command_gets_the_full_parser(self, capsys, subparsers_built):
+        def usage_error(*argv):
+            assert main(list(argv)) == 1
+            out, err = capsys.readouterr()
+            payload = json.loads(out)
+            assert payload["error"] == "usage"
+            assert err == f"diagtorus: {payload['message']}\n"
+            return payload["message"]
+
+        assert usage_error() == "the following arguments are required: command"
+        message = usage_error("no-such-command")
+        assert message.startswith("argument command: invalid choice: 'no-such-command'")
+        assert all(name in message for name in cli._COMMANDS)
+        assert usage_error("--bogus", "hnf") == "unrecognized arguments: --bogus"
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out == cli.build_parser().format_help()
+        # four main calls and the reference parser just built
+        assert subparsers_built == list(cli._COMMANDS) * 5
 
 
 def test_module_entry_point():
