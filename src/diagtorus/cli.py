@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -219,6 +220,8 @@ def _cmd_oracle_torsion(args):
 def _cmd_oracle_lattice_equal(args):
     a = _get_matrix(args, "a")
     b = _get_matrix(args, "b")
+    if a.cols != b.cols:
+        raise DimensionMismatch("lattices live in different ambient dimensions")
     bound = args.bound if args.bound is not None else oracle.default_lattice_bound(a, b)
     return oracle.lattice_equal_bounded(a, b, bound), None
 
@@ -233,7 +236,10 @@ def _cmd_oracle_closedness(args):
 
 
 def _cmd_oracle_perm_sign(args):
-    rel = oracle.perm_sign_exhaust(_parse_vector(args.a), _parse_vector(args.b))
+    a, b = _parse_vector(args.a), _parse_vector(args.b)
+    if len(a) != len(b):
+        raise DimensionMismatch("weight vectors have different lengths")
+    rel = oracle.perm_sign_exhaust(a, b)
     if rel is None:
         return False, None
     return True, {"permutation": _perm_1based(rel[0]), "sign": rel[1]}
@@ -301,6 +307,15 @@ def build_parser(names=_COMMANDS) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser_for(name: str | None) -> argparse.ArgumentParser:
+    """The parser main uses: the one subcommand name, or all of them for
+    None.  Built once per process: a parser keeps no state between
+    parse_args calls, each of which returns a fresh Namespace, and every
+    default it holds is immutable."""
+    return build_parser(_COMMANDS if name is None else (name,))
+
+
 def _fields(obj) -> dict:
     """json.dumps hook: a dataclass instance prints as its fields."""
     if dataclasses.is_dataclass(obj):
@@ -323,11 +338,11 @@ def _fail(code: int, kind: str, exc: Exception) -> int:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # only the named subcommand's parser is built; an empty argv, a leading
+    # only the named subcommand's parser is used; an empty argv, a leading
     # option or an unknown name needs the full one for its help or its error
-    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser(names).parse_args(argv)
+        args = _parser_for(name).parse_args(argv)
         result, witness = args.func(args)
     except SystemExit:  # only --help exits; it has printed the help
         return 0

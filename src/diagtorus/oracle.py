@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 from itertools import product
 
-from .errors import TooLarge
+from .errors import DimensionMismatch, TooLarge
 from .intmat import IntMatrix, smith_normal_form
 
 _ENUM_BUDGET = 10**7
@@ -22,17 +22,6 @@ def _snf_membership_data(a: IntMatrix):
     dec = smith_normal_form(a)
     r = len(dec.factors)
     return dec.V, dec.factors, r
-
-
-def _member(v, vmat: IntMatrix, factors, r) -> bool:
-    # v in the row lattice iff (v @ V) is divisible by the Smith diagonal
-    # and vanishes beyond the rank
-    n = vmat.rows
-    w = [sum(v[k] * vmat.entries[k][j] for k in range(n)) for j in range(n)]
-    for j in range(r):
-        if w[j] % factors[j]:
-            return False
-    return not any(w[r:])
 
 
 def torsion_count(group, modulus: int) -> int:
@@ -55,7 +44,16 @@ def torsion_count(group, modulus: int) -> int:
 
 
 def lattice_equal_bounded(a: IntMatrix, b: IntMatrix, bound: int) -> bool:
-    """Compare the two row lattices inside the box ||v||_inf <= bound."""
+    """Compare the two row lattices inside the box ||v||_inf <= bound.
+
+    v lies in the row lattice iff v @ V is divisible by the Smith diagonal
+    and vanishes beyond the rank.  The box is walked in lexicographic order
+    by an odometer that carries w = v @ [V_A | V_B]: a step of coordinate k
+    adds row k, and its wrap from bound back to -bound subtracts 2 * bound
+    times row k.  So a box point costs O(n) additions, and the walk needs
+    O(n^2) memory and no recursion at any bound.
+    """
+    bound = operator.index(bound)
     if bound < 0:
         raise ValueError("bound must be >= 0")
     if a.cols != b.cols:
@@ -65,10 +63,31 @@ def lattice_equal_bounded(a: IntMatrix, b: IntMatrix, bound: int) -> bool:
         raise TooLarge("box exceeds the enumeration budget")
     va, fa, ra = _snf_membership_data(a)
     vb, fb, rb = _snf_membership_data(b)
-    for v in product(range(-bound, bound + 1), repeat=n):
-        if _member(v, va, fa, ra) != _member(v, vb, fb, rb):
+    rows = [ua + ub for ua, ub in zip(va.entries, vb.entries)]
+    # the membership conditions on w: Smith factors above 1 to divide the
+    # first coordinates of each half, and the coordinates past the ranks
+    divides_a = [(j, f) for j, f in enumerate(fa) if f > 1]
+    divides_b = [(n + j, f) for j, f in enumerate(fb) if f > 1]
+    past_a, past_b = slice(ra, n), slice(n + rb, 2 * n)
+    # the walk starts at v = (-bound, ..., -bound); steps[k] counts the
+    # steps coordinate k has taken since then, at most 2 * bound
+    w = [-bound * sum(column) for column in zip(*rows)]
+    steps = [0] * n
+    while True:
+        in_a = not any(w[past_a]) and not any(w[j] % f for j, f in divides_a)
+        in_b = not any(w[past_b]) and not any(w[j] % f for j, f in divides_b)
+        if in_a != in_b:
             return False
-    return True
+        k = n - 1
+        while k >= 0 and steps[k] == 2 * bound:
+            # coordinate k wraps from bound back to -bound
+            steps[k] = 0
+            w = [x - 2 * bound * y for x, y in zip(w, rows[k])]
+            k -= 1
+        if k < 0:
+            return True
+        steps[k] += 1
+        w = list(map(operator.add, w, rows[k]))
 
 
 def default_lattice_bound(a: IntMatrix, b: IntMatrix) -> int:
@@ -91,6 +110,8 @@ def closedness_search(weights, zeros, bound: int):
     weights = tuple(map(operator.index, weights))
     zeros = frozenset(map(operator.index, zeros))
     n = len(weights)
+    if any(i < 1 or i > n for i in zeros):
+        raise DimensionMismatch("zero pattern indices out of range")
     inside = sorted(zeros)
     outside = [j for j in range(1, n + 1) if j not in zeros]
     if not outside:

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -264,6 +265,22 @@ class TestContracts:
         assert code == 2
         assert payload["ok"] is False and payload["error"] == error
 
+    @pytest.mark.parametrize("argv,message", [
+        (("oracle-closedness", "--weights", "1 2", "--zeros", "0"),
+         "zero pattern indices out of range"),
+        (("oracle-closedness", "--weights", "1 2", "--zeros", "3"),
+         "zero pattern indices out of range"),
+        (("oracle-lattice-equal", "--a", "1 2", "--b", "1 2 3"),
+         "lattices live in different ambient dimensions"),
+        (("oracle-perm-sign", "--a", "1 2", "--b", "1 2 3"),
+         "weight vectors have different lengths"),
+    ])
+    def test_oracle_dimension_mismatch_exits_2(self, capsys, argv, message):
+        code, payload = run_json(capsys, *argv)
+        assert code == 2
+        assert payload == {"schema_version": 1, "ok": False,
+                           "error": "DimensionMismatch", "message": message}
+
     @pytest.mark.parametrize("entry", ["1.9", "true", '"3"'])
     def test_matrix_json_rejects_non_integers(self, capsys, entry):
         obj = '{"rows":1,"cols":2,"entries":[[%s,2]]}' % entry
@@ -403,10 +420,24 @@ class TestOneSubcommandParser:
         assert helps[0].startswith(f"usage: diagtorus {name} ")
 
 
-class TestParserPerRun:
+@pytest.fixture
+def fresh_parsers():
+    """main's parser cache, empty at the start and at the end of the test."""
+    cli._parser_for.cache_clear()
+    yield
+    cli._parser_for.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_parsers")
+class TestParserPerProcess:
     def test_main_builds_only_the_named_subcommand(self, capsys, subparsers_built):
-        code, out = run(capsys, "hnf", "--matrix", "1 2")
-        assert (code, out) == (0, golden({"rows": 1, "cols": 2, "entries": [[1, 2]]}))
+        for _ in range(3):
+            code, out = run(capsys, "hnf", "--matrix", "1 2")
+            assert (code, out) == (0, golden({"rows": 1, "cols": 2, "entries": [[1, 2]]}))
+            code, out = run(capsys, "hnf", "--bogus")
+            assert code == 1 and json.loads(out)["error"] == "usage"
+            code, out = run(capsys, "hnf", "--help")
+            assert code == 0 and out.startswith("usage: diagtorus hnf ")
         assert subparsers_built == ["hnf"]
 
     def test_no_command_gets_the_full_parser(self, capsys, subparsers_built):
@@ -418,15 +449,44 @@ class TestParserPerRun:
             assert err == f"diagtorus: {payload['message']}\n"
             return payload["message"]
 
-        assert usage_error() == "the following arguments are required: command"
-        message = usage_error("no-such-command")
-        assert message.startswith("argument command: invalid choice: 'no-such-command'")
-        assert all(name in message for name in cli._COMMANDS)
-        assert usage_error("--bogus", "hnf") == "unrecognized arguments: --bogus"
-        assert main(["--help"]) == 0
-        assert capsys.readouterr().out == cli.build_parser().format_help()
-        # four main calls and the reference parser just built
-        assert subparsers_built == list(cli._COMMANDS) * 5
+        for _ in range(2):
+            assert usage_error() == "the following arguments are required: command"
+            message = usage_error("no-such-command")
+            assert message.startswith("argument command: invalid choice: 'no-such-command'")
+            assert all(name in message for name in cli._COMMANDS)
+            assert usage_error("--bogus", "hnf") == "unrecognized arguments: --bogus"
+            assert main(["--help"]) == 0
+            assert capsys.readouterr().out == cli.build_parser().format_help()
+        # one full table for all eight main calls, one for each reference
+        assert subparsers_built == list(cli._COMMANDS) * 3
+
+    def test_build_parser_is_fresh(self, subparsers_built):
+        assert cli.build_parser() is not cli.build_parser()
+        assert subparsers_built == list(cli._COMMANDS) * 2
+
+    def test_reused_parsers_answer_as_fresh_ones(self, capsys, monkeypatch):
+        argvs = [[], ["--help"], ["no-such-command"], ["hnf", "--matrix", "1 2; 3 4"],
+                 ["lattice-equal", "--a", "1 2", "--b", "1 2 3"]]
+        for name in cli._COMMANDS:
+            argvs += [valid_argv(name), *invalid_argvs(name),
+                      [name], [name, "--help"], [name, "--stdin"]]
+
+        def outcome(argv):
+            monkeypatch.setattr("sys.stdin", io.StringIO("1 2; 3 4"))
+            code = main(list(argv))
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        first = []
+        for argv in argvs:
+            cli._parser_for.cache_clear()
+            first.append(outcome(argv))
+        assert {code for code, _, _ in first} == {0, 1, 2}
+        rng = random.Random(14)
+        for _ in range(2):
+            order = rng.sample(range(len(argvs)), len(argvs))
+            for i in order:
+                assert outcome(argvs[i]) == first[i], argvs[i]
 
 
 def test_module_entry_point():

@@ -4,7 +4,8 @@ from itertools import permutations, product
 import pytest
 
 from diagtorus import DiagSubgroup, IntMatrix
-from diagtorus.errors import TooLarge
+from diagtorus.errors import DimensionMismatch, TooLarge
+from diagtorus.intmat import smith_normal_form
 from diagtorus.oracle import (
     closedness_search,
     default_closedness_bound,
@@ -68,6 +69,122 @@ class TestLatticeEqualBounded:
                                          IntMatrix.from_rows([[2, 0]]), 1)
 
 
+def _member_reference(v, vmat, factors, r):
+    # v in the row lattice iff (v @ V) is divisible by the Smith diagonal
+    # and vanishes beyond the rank
+    n = vmat.rows
+    w = [sum(v[k] * vmat.entries[k][j] for k in range(n)) for j in range(n)]
+    for j in range(r):
+        if w[j] % factors[j]:
+            return False
+    return not any(w[r:])
+
+
+def _lattice_equal_reference(a, b, bound):
+    """The product loop: v @ V from scratch at every box point."""
+    if a.cols != b.cols:
+        return False
+    data = []
+    for m in (a, b):
+        dec = smith_normal_form(m)
+        data.append((dec.V, dec.factors, len(dec.factors)))
+    return all(_member_reference(v, *data[0]) == _member_reference(v, *data[1])
+               for v in product(range(-bound, bound + 1), repeat=a.cols))
+
+
+def _random_rows(rng, n):
+    """0-3 rows of length n with entries in -3..3, mixed with zero rows,
+    sums of earlier rows and multiples by 2 or 3."""
+    rows = []
+    for _ in range(rng.randrange(4)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            row = [0] * n
+        elif kind == 1 and rows:
+            row = [x + y for x, y in zip(rng.choice(rows), rng.choice(rows))]
+        elif kind == 2:
+            row = [rng.choice((2, 3)) * rng.randint(-2, 2) for _ in range(n)]
+        else:
+            row = [rng.randint(-3, 3) for _ in range(n)]
+        rows.append(row)
+    return rows
+
+
+def _matrix(rows, n):
+    return IntMatrix(len(rows), n, tuple(map(tuple, rows)))
+
+
+class TestLatticeWalkAgainstProductLoop:
+    def _pairs(self, seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            n = rng.randrange(5)
+            bound = rng.randrange(4 if n < 4 else 3)
+            a = _random_rows(rng, n)
+            kind = rng.randrange(4)
+            if kind == 0 and a:
+                # the same lattice: add a multiple of one row to another,
+                # negate a row and reverse the order
+                b = [list(r) for r in a]
+                i, j = rng.randrange(len(b)), rng.randrange(len(b))
+                if i != j:
+                    b[i] = [x + rng.randint(-2, 2) * y for x, y in zip(b[i], b[j])]
+                b[0] = [-x for x in b[0]]
+                b.reverse()
+            elif kind == 1 and a:
+                # a sublattice: one row scaled by 2 or 3
+                b = [list(r) for r in a]
+                i = rng.randrange(len(b))
+                b[i] = [rng.choice((2, 3)) * x for x in b[i]]
+            elif kind == 2:
+                # different column counts
+                n_b = rng.choice([m for m in range(5) if m != n])
+                yield _matrix(a, n), _matrix(_random_rows(rng, n_b), n_b), bound
+                continue
+            else:
+                b = _random_rows(rng, n)
+            yield _matrix(a, n), _matrix(b, n), bound
+
+    def test_agrees_on_random_pairs(self):
+        answers = set()
+        for a, b, bound in self._pairs(14, 400):
+            got = lattice_equal_bounded(a, b, bound)
+            assert got == _lattice_equal_reference(a, b, bound), (a, b, bound)
+            assert lattice_equal_bounded(b, a, bound) == got
+            answers.add((a.cols, got))
+        # both answers occur at every n
+        assert answers >= {(n, ok) for n in range(1, 5) for ok in (True, False)}
+
+    def test_invariant_factors_above_one(self):
+        # equal and unequal pairs whose Smith diagonals carry 2, 3 and 6
+        a = IntMatrix.from_rows([[2, 0, 0], [0, 6, 0]])
+        same = IntMatrix.from_rows([[2, 6, 0], [0, -6, 0]])
+        other = IntMatrix.from_rows([[2, 0, 0], [0, 3, 0]])
+        for b, want in ((same, True), (other, False)):
+            for bound in range(4):
+                assert lattice_equal_bounded(a, b, bound) == \
+                    _lattice_equal_reference(a, b, bound)
+            assert lattice_equal_bounded(a, b, 3) is want
+
+    def test_box_of_one_point_at_large_n(self):
+        # the odometer has no recursion, so n may pass the recursion limit
+        n = 1100
+        a = IntMatrix.from_rows([[1] + [0] * (n - 1)])
+        b = IntMatrix.from_rows([[2] + [0] * (n - 1)])
+        assert lattice_equal_bounded(a, b, 0)
+        with pytest.raises(TooLarge):
+            lattice_equal_bounded(a, b, 1)
+
+    def test_zero_columns(self):
+        assert lattice_equal_bounded(IntMatrix(0, 0, ()), IntMatrix(2, 0, ((), ())), 3)
+
+    @pytest.mark.parametrize("bound", [1.0, "1", None])
+    def test_bound_must_be_an_integer(self, bound):
+        a = IntMatrix.from_rows([[1, 0]])
+        with pytest.raises(TypeError):
+            lattice_equal_bounded(a, a, bound)
+
+
 class TestClosednessSearch:
     def test_examples(self):
         assert closedness_search((1, 1), {1}, 2) == (-1, 1)
@@ -98,6 +215,12 @@ class TestClosednessSearch:
         # claimed for (1, -1), whose witness is (1, 1)
         with pytest.raises(ValueError):
             closedness_search((1, -1), frozenset(), bound)
+
+    @pytest.mark.parametrize("zeros", [{0}, {3}, {-1}, {1, 3}])
+    def test_zero_pattern_out_of_range_is_rejected(self, zeros):
+        # unchecked, index 0 reads the last weight and index 3 reads past the end
+        with pytest.raises(DimensionMismatch, match="zero pattern indices out of range"):
+            closedness_search((1, 2), zeros, 3)
 
     def test_default_bound_of_zero_weights_finds_a_witness(self):
         assert default_closedness_bound((0, 0)) == 3
