@@ -17,15 +17,15 @@ result too large to print (error "TooLarge").
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
 
-from . import action, diag, normalizer, oracle, roots
+# the handlers reach each library module as an attribute of the package,
+# which imports it on first use: building the parser loads none, a run loads
+# only what it uses, and a later run finds the module already bound
+import diagtorus
 from .errors import DiagTorusError, DimensionMismatch
-from .intmat import IntMatrix, hermite_normal_form, smith_normal_form
-from .lattice import equal, lattice_of, pluecker_equal
 
 SCHEMA_VERSION = 1
 
@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
-def _parse_matrix_text(text: str) -> IntMatrix:
+def _parse_matrix_text(text: str):
     rows = []
     for part in text.replace("\n", ";").split(";"):
         part = part.strip()
@@ -54,10 +54,10 @@ def _parse_matrix_text(text: str) -> IntMatrix:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise UsageError("ragged matrix literal")
-    return IntMatrix.from_rows(rows)
+    return diagtorus.intmat.IntMatrix.from_rows(rows)
 
 
-def _parse_matrix_json(text: str) -> IntMatrix:
+def _parse_matrix_json(text: str):
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -74,7 +74,8 @@ def _parse_matrix_json(text: str) -> IntMatrix:
     if cols < 1:
         raise UsageError("invalid matrix object: need cols >= 1")
     try:
-        return IntMatrix(rows, cols, tuple(tuple(row) for row in entries))
+        return diagtorus.intmat.IntMatrix(rows, cols,
+                                          tuple(tuple(row) for row in entries))
     except ValueError as exc:
         raise UsageError(f"invalid matrix object: {exc}") from exc
 
@@ -99,7 +100,7 @@ def _perm_1based(p) -> list[int]:
     return [x + 1 for x in p]
 
 
-def _get_matrix(args, flag: str) -> IntMatrix:
+def _get_matrix(args, flag: str):
     text = getattr(args, flag, None)
     jtext = getattr(args, flag + "_json", None)
     if text is not None and jtext is not None:
@@ -113,35 +114,38 @@ def _get_matrix(args, flag: str) -> IntMatrix:
     return _parse_matrix_text(text)
 
 
-def _get_subgroup(args) -> diag.DiagSubgroup:
-    """The subgroup of --weights, or else of the --matrix input."""
+def _get_subgroup(args):
+    """The DiagSubgroup of --weights, or else of the --matrix input."""
+    diag = diagtorus.diag
     if args.weights is not None:
         return diag.DiagSubgroup.from_weights(_parse_vector(args.weights))
     return diag.DiagSubgroup.from_matrix(_get_matrix(args, "matrix"))
 
 
 def _cmd_snf(args):
-    return smith_normal_form(_get_matrix(args, "matrix")), None
+    return diagtorus.intmat.smith_normal_form(_get_matrix(args, "matrix")), None
 
 
 def _cmd_hnf(args):
-    return hermite_normal_form(_get_matrix(args, "matrix")), None
+    return diagtorus.intmat.hermite_normal_form(_get_matrix(args, "matrix")), None
 
 
 def _cmd_lattice_equal(args):
+    lattice = diagtorus.lattice
     a = _get_matrix(args, "a")
     b = _get_matrix(args, "b")
     if args.method == "pluecker":
-        return pluecker_equal(a, b), None
-    return equal(lattice_of(a), lattice_of(b)), None
+        return lattice.pluecker_equal(a, b), None
+    return lattice.equal(lattice.lattice_of(a), lattice.lattice_of(b)), None
 
 
 def _cmd_isotype(args):
-    t = diag.iso_type(_get_subgroup(args))
+    t = diagtorus.diag.iso_type(_get_subgroup(args))
     return {**vars(t), "dimension": t.torus_rank, "order": t.order}, None
 
 
 def _cmd_conjugate(args):
+    diag = diagtorus.diag
     a = _get_matrix(args, "a")
     b = _get_matrix(args, "b")
     g1 = diag.DiagSubgroup.from_matrix(a)
@@ -167,11 +171,12 @@ def _cmd_conjugate(args):
 
 
 def _cmd_canonical(args):
+    diag = diagtorus.diag
     if args.context == "crn":
         g = diag.DiagSubgroup.from_matrix(_get_matrix(args, "matrix"))
         c = diag.crn_canonical(g)
         return {"r": c.r, "factors": c.factors, "matrix": c.canonical_matrix}, None
-    if not args.weights:
+    if args.weights is None:
         raise UsageError("this context requires --weights")
     weights = _parse_vector(args.weights)
     if args.context == "autn-codim1":
@@ -183,15 +188,15 @@ def _cmd_canonical(args):
 
 def _cmd_orbit(args):
     weights = _parse_vector(args.weights)
-    return action.orbit_report(weights, _parse_zeros(args.zeros)), None
+    return diagtorus.action.orbit_report(weights, _parse_zeros(args.zeros)), None
 
 
 def _cmd_action_report(args):
-    return action.action_report(_parse_vector(args.weights)), None
+    return diagtorus.action.action_report(_parse_vector(args.weights)), None
 
 
 def _cmd_normalizer(args):
-    rep = normalizer.normalizer_report(_parse_vector(args.weights))
+    rep = diagtorus.normalizer.normalizer_report(_parse_vector(args.weights))
     return {
         **vars(rep),
         "perm_part": [{"permutation": _perm_1based(s), "sign": e}
@@ -202,6 +207,7 @@ def _cmd_normalizer(args):
 
 
 def _cmd_roots(args):
+    roots = diagtorus.roots
     out = []
     for rv in roots.enumerate_root_vectors(args.dim, args.degree):
         out.append({
@@ -214,10 +220,11 @@ def _cmd_roots(args):
 
 
 def _cmd_oracle_torsion(args):
-    return oracle.torsion_count(_get_subgroup(args), args.modulus), None
+    return diagtorus.oracle.torsion_count(_get_subgroup(args), args.modulus), None
 
 
 def _cmd_oracle_lattice_equal(args):
+    oracle = diagtorus.oracle
     a = _get_matrix(args, "a")
     b = _get_matrix(args, "b")
     if a.cols != b.cols:
@@ -227,6 +234,7 @@ def _cmd_oracle_lattice_equal(args):
 
 
 def _cmd_oracle_closedness(args):
+    oracle = diagtorus.oracle
     weights = _parse_vector(args.weights)
     zeros = _parse_zeros(args.zeros)
     bound = args.bound if args.bound is not None else oracle.default_closedness_bound(weights)
@@ -239,7 +247,7 @@ def _cmd_oracle_perm_sign(args):
     a, b = _parse_vector(args.a), _parse_vector(args.b)
     if len(a) != len(b):
         raise DimensionMismatch("weight vectors have different lengths")
-    rel = oracle.perm_sign_exhaust(a, b)
+    rel = diagtorus.oracle.perm_sign_exhaust(a, b)
     if rel is None:
         return False, None
     return True, {"permutation": _perm_1based(rel[0]), "sign": rel[1]}
@@ -318,6 +326,7 @@ def _parser_for(name: str | None) -> argparse.ArgumentParser:
 
 def _fields(obj) -> dict:
     """json.dumps hook: a dataclass instance prints as its fields."""
+    import dataclasses
     if dataclasses.is_dataclass(obj):
         return vars(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")

@@ -78,7 +78,8 @@ def monomial_normalizer(weights):
     These are exactly the permutation parts of monomial transformations that
     normalize the subgroup.  Permutations are 0-based image tuples, sorted
     lexicographically, with eps = 1 before eps = -1.  The returned element
-    list generates (indeed equals) the group.
+    list generates (indeed equals) the group.  For n = 0 both signs are the
+    identity, listed once as ((), 1).
 
     The elements are built position by position: sigma(j) runs over the
     unused k with l_k = eps * l_j, for the signs still possible, so the work
@@ -90,8 +91,9 @@ def monomial_normalizer(weights):
 
 def _monomial_normalizer(weights):
     n = len(weights)
-    # a sign-reversing element exists iff l and -l agree up to permutation
-    signs = (1, -1) if sorted(weights) == sorted(-x for x in weights) else (1,)
+    # a sign-reversing element exists iff l and -l agree up to permutation;
+    # on the 0-dimensional torus inversion is the identity, not a second one
+    signs = (1, -1) if n and sorted(weights) == sorted(-x for x in weights) else (1,)
     order = len(signs)
     for x in set(weights):
         order *= factorial(weights.count(x))

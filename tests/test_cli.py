@@ -148,6 +148,18 @@ class TestGoldenOutputs:
         assert r["perm_order"] == 2
         assert {"permutation": [2, 1], "sign": 1} in r["perm_part"]
 
+    def test_normalizer_of_the_empty_vector(self, capsys):
+        code, out = run(capsys, "normalizer", "--weights", "")
+        assert (code, out) == (0, golden({
+            "case": {"axis": None, "tag": "full_torus"},
+            "centralizer_perm_part": [[]],
+            "contained_in_monomial": True,
+            "explicit_structure": None,
+            "note": None,
+            "perm_order": 1,
+            "perm_part": [{"permutation": [], "sign": 1}],
+        }))
+
     def test_roots(self, capsys):
         code, out = run(capsys, "roots", "--dim", "2", "--degree", "1")
         assert code == 0
@@ -217,6 +229,7 @@ class TestContracts:
         (("hnf", "--bogus", "1"), "unrecognized arguments: --bogus 1"),
         ((), "the following arguments are required: command"),
         (("roots", "--dim", "x", "--degree", "1"), "argument --dim: invalid int value: 'x'"),
+        (("canonical", "--context", "aut3-torus"), "this context requires --weights"),
     ])
     def test_usage_error_payload_carries_the_reason(self, capsys, argv, message):
         code = main(list(argv))
@@ -253,6 +266,19 @@ class TestContracts:
             payload = json.loads(out)
             assert payload["ok"] is False
             assert "error" in payload and "message" in payload
+
+    @pytest.mark.parametrize("context,error", [
+        ("autn-codim1", "ZeroVector"),
+        ("aut3-torus", "DimensionMismatch"),
+        ("crn-codim1", "ZeroVector"),
+    ])
+    def test_canonical_empty_weights_exit_2(self, capsys, context, error):
+        # an empty --weights is given, so it is the empty vector, not a
+        # missing flag
+        code, payload = run_json(capsys, "canonical", "--context", context,
+                                 "--weights", "")
+        assert code == 2
+        assert payload["ok"] is False and payload["error"] == error
 
     @pytest.mark.parametrize("a,b,error", [
         ("1 2", "1 2 3", "DimensionMismatch"),

@@ -20,11 +20,27 @@ from diagtorus.roots import RootVector, apply_derivation, weyl_action
 MODULES = {path.stem: path for path in Path(diagtorus.__file__).parent.glob("*.py")}
 
 
+def export_table(path: Path) -> dict[str, tuple[str, ...]]:
+    """The module-level _EXPORTS table of a module, submodule name to the
+    public names the package imports from it on first use; empty if none."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return {}
+
+
 def imported_names(path: Path) -> set[str]:
     """Dotted names a module imports, with relative imports resolved
-    ("from . import oracle" gives diagtorus and diagtorus.oracle), plus
-    itertools.permutations when reached as an attribute of itertools."""
+    ("from . import oracle" gives diagtorus and diagtorus.oracle), plus a
+    name reached as an attribute of itertools or of the package
+    (itertools.permutations, diagtorus.oracle: the package imports its
+    submodules on first use).  A submodule in the export table is imported
+    with its names, as the statement "from .oracle import a, b" would be."""
     names = set()
+    for module, exported in export_table(path).items():
+        names.add(f"diagtorus.{module}")
+        names.update(f"diagtorus.{module}.{name}" for name in exported)
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
@@ -35,8 +51,8 @@ def imported_names(path: Path) -> set[str]:
             names.add(base)
             names.update(f"{base}.{alias.name}" for alias in node.names)
         elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-              and node.value.id == "itertools"):
-            names.add(f"itertools.{node.attr}")
+              and node.value.id in ("itertools", "diagtorus")):
+            names.add(f"{node.value.id}.{node.attr}")
     return names
 
 
@@ -79,8 +95,9 @@ def module_level_names(path: Path) -> set[str]:
 
 
 def referenced_names(path: Path) -> set[str]:
-    """Names a module reads, reaches as attributes, or imports by name."""
-    names = set()
+    """Names a module reads, reaches as attributes, imports by name, or
+    exports through its export table."""
+    names = set().union(*export_table(path).values())
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
@@ -126,8 +143,8 @@ def test_the_oracle_imports_none_of_the_modules_it_arbitrates():
 
 
 def test_every_module_level_name_is_used():
-    # __init__ imports every public name, so an export counts as a use; a
-    # helper that no caller reads any more is dead code
+    # __init__'s export table names every public name, so an export counts
+    # as a use; a helper that no caller reads any more is dead code
     used = set().union(*map(referenced_names, MODULES.values()))
     unused = {f"{stem}.{name}" for stem, path in MODULES.items()
               for name in module_level_names(path) - used}

@@ -99,6 +99,13 @@ class TestMonomialNormalizer:
     def test_zero_weights_gives_both_signs(self):
         out = monomial_normalizer((0, 0))
         assert len(out) == 4
+        assert monomial_normalizer((0,)) == (((0,), 1), ((0,), -1))
+
+    def test_empty_weights_give_one_element(self):
+        # on the 0-dimensional torus inversion is the identity, so the
+        # empty permutation is listed once
+        assert monomial_normalizer(()) == (((), 1),)
+        assert normalizer_report(()).perm_order == 1
 
     def test_swap_with_sign(self):
         out = monomial_normalizer((1, -1))
