@@ -43,12 +43,44 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+def _plain(text: str) -> bool:
+    """Whether text is ASCII without '_'.  Its whitespace-separated tokens
+    are then integers exactly when they are [+-]?[0-9]+, which is what int
+    reads; on other text int also reads '1_000' and digits such as '١'."""
+    return text.isascii() and "_" not in text
+
+
+def _strict_int(tok: str) -> int:
+    """int of a [+-]?[0-9]+ token, and for any other token int's error."""
+    if _plain(tok):
+        return int(tok)
+    # int's own message, which cuts the repr at 200 characters
+    raise ValueError(f"invalid literal for int() with base 10: {repr(tok)[:200]}")
+
+
+def _ints(tokens: list[str], plain: bool) -> list[int]:
+    """The integers of tokens, given whether the text they come from is
+    _plain: one test of the text spares a test of each token."""
+    if plain:
+        return [int(tok) for tok in tokens]
+    return [_strict_int(tok) for tok in tokens]
+
+
+def _int_option(text: str) -> int:
+    """The type of an integer option, strict as a text operand's tokens."""
+    try:
+        return _strict_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_matrix_text(text: str):
+    plain = _plain(text)
     rows = []
     for part in text.replace("\n", ";").split(";"):
         part = part.strip()
         if part:
-            rows.append([int(tok) for tok in part.split()])
+            rows.append(_ints(part.split(), plain))
     if not rows:
         raise UsageError("empty matrix literal")
     widths = {len(r) for r in rows}
@@ -82,7 +114,7 @@ def _parse_matrix_json(text: str):
 
 def _parse_vector(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split())
+        return tuple(_ints(text.split(), _plain(text)))
     except ValueError as exc:
         raise UsageError(f"invalid integer vector: {exc}") from exc
 
@@ -91,7 +123,7 @@ def _parse_zeros(text: str | None) -> frozenset[int]:
     if not text:
         return frozenset()
     try:
-        return frozenset(int(tok) for tok in text.replace(",", " ").split())
+        return frozenset(_ints(text.replace(",", " ").split(), _plain(text)))
     except ValueError as exc:
         raise UsageError(f"invalid zero pattern: {exc}") from exc
 
@@ -258,9 +290,9 @@ def _cmd_oracle_perm_sign(args):
 # is a --name/--name-json matrix operand pair, and "matrix" also takes
 # --stdin; a (flag, keywords) pair is passed to add_argument as it is.
 _REQUIRED = {"required": True}
-_REQUIRED_INT = {"type": int, "required": True}
+_REQUIRED_INT = {"type": _int_option, "required": True}
 _ZEROS = ("--zeros", {"default": ""})
-_BOUND = ("--bound", {"type": int})
+_BOUND = ("--bound", {"type": _int_option})
 _COMMANDS = {
     "snf": (_cmd_snf, ["matrix"]),
     "hnf": (_cmd_hnf, ["matrix"]),
@@ -289,39 +321,46 @@ _COMMANDS = {
 }
 
 
-def build_parser(names=_COMMANDS) -> argparse.ArgumentParser:
-    """The argument parser with the subcommands in names, all by default.
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give parser the arguments and the handler of subcommand name."""
+    func, arguments = _COMMANDS[name]
+    for arg in arguments:
+        if isinstance(arg, str):
+            parser.add_argument(f"--{arg}", help="matrix literal, rows separated by ';'")
+            parser.add_argument(f"--{arg}-json", help="matrix as a JSON object")
+            if arg == "matrix":
+                parser.add_argument("--stdin", action="store_true",
+                                    help="read the matrix literal from standard input")
+        else:
+            flag, keywords = arg
+            parser.add_argument(flag, **keywords)
+    parser.set_defaults(func=func)
+    return parser
 
-    No subcommand's parser depends on another's, so a parser holding only
-    the subcommand an argv names parses that argv, rejects it and prints its
-    help as the full parser does.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser with every subcommand."""
     parser = _Parser(prog="diagtorus", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        func, arguments = _COMMANDS[name]
-        p = sub.add_parser(name)
-        for arg in arguments:
-            if isinstance(arg, str):
-                p.add_argument(f"--{arg}", help="matrix literal, rows separated by ';'")
-                p.add_argument(f"--{arg}-json", help="matrix as a JSON object")
-                if arg == "matrix":
-                    p.add_argument("--stdin", action="store_true",
-                                   help="read the matrix literal from standard input")
-            else:
-                flag, keywords = arg
-                p.add_argument(flag, **keywords)
-        p.set_defaults(func=func)
+    for name in _COMMANDS:
+        _add_arguments(sub.add_parser(name), name)
     return parser
 
 
 @functools.cache
 def _parser_for(name: str | None) -> argparse.ArgumentParser:
-    """The parser main uses: the one subcommand name, or all of them for
-    None.  Built once per process: a parser keeps no state between
-    parse_args calls, each of which returns a fresh Namespace, and every
-    default it holds is immutable."""
-    return build_parser(_COMMANDS if name is None else (name,))
+    """The parser main uses: subcommand name's own, or the full one for None.
+
+    A subparser takes only its prog from the full parser, so a standalone
+    parser of that prog parses the arguments after the name, rejects them and
+    prints its help as the full parser's subparser does, without the full
+    parser first matching the name.  Built once per process: a parser keeps
+    no state between parse_args calls, each of which returns a fresh
+    Namespace, and every default it holds is immutable.
+    """
+    if name is None:
+        return build_parser()
+    return _add_arguments(_Parser(prog=f"diagtorus {name}"), name)
 
 
 def _fields(obj) -> dict:
@@ -347,11 +386,15 @@ def _fail(code: int, kind: str, exc: Exception) -> int:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # only the named subcommand's parser is used; an empty argv, a leading
-    # option or an unknown name needs the full one for its help or its error
-    name = argv[0] if argv and argv[0] in _COMMANDS else None
+    # a named subcommand's own parser reads the arguments after the name; an
+    # empty argv, a leading option or an unknown name needs the full parser
+    # for its help or its error
+    if argv and argv[0] in _COMMANDS:
+        parser, argv = _parser_for(argv[0]), argv[1:]
+    else:
+        parser = _parser_for(None)
     try:
-        args = _parser_for(name).parse_args(argv)
+        args = parser.parse_args(argv)
         result, witness = args.func(args)
     except SystemExit:  # only --help exits; it has printed the help
         return 0

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import chain, combinations, count, cycle, repeat
 from math import comb, gcd
 
-from .errors import NotUnimodular, RankDeficient
+from .errors import NotUnimodular, RankDeficient, TooLarge
 
 Row = tuple[int, ...]
 
@@ -364,6 +364,10 @@ def _cached_laplace_table(n: int, k: int) -> tuple | None:
     return None
 
 
+# in _minors' cost units: 6 x 30 (4.4e6) stays under it, 7 x 30 (1.9e7) does not
+_MINORS_BUDGET = 10**7
+
+
 def _minors(rows, cols) -> dict[tuple[int, ...], int]:
     """Every len(rows)-square minor of rows on the columns cols, keyed by
     column tuples of cols in combinations order.
@@ -374,12 +378,20 @@ def _minors(rows, cols) -> dict[tuple[int, ...], int]:
     from _laplace_table, which depends only on (n, k), and the dict is
     keyed once at the end.  One Bareiss elimination per minor costs, in the
     same units as measured, about C(n, m) (3 + m^3 / 7).  It serves instead
-    whenever that is no more, which never happens when 2m <= n.
+    whenever that is no more, which never happens when 2m <= n.  It raises
+    TooLarge when the cheaper cost passes _MINORS_BUDGET; m 2^n bounds the
+    Laplace sum, so while that is within the budget the check is one
+    comparison.
     """
     m, n = len(rows), len(cols)
-    if 2 * m > n and (sum(k * comb(n, k) for k in range(m + 1))
-                      >= comb(n, m) * (3 + m ** 3 // 7)):
-        return {s: _det([[row[j] for j in s] for row in rows]) for s in combinations(cols, m)}
+    if 2 * m > n or m << n > _MINORS_BUDGET:
+        laplace = sum(k * comb(n, k) for k in range(m + 1))
+        bareiss = comb(n, m) * (3 + m ** 3 // 7)
+        if min(laplace, bareiss) > _MINORS_BUDGET:
+            raise TooLarge("maximal minors exceed the computation budget")
+        if laplace >= bareiss:
+            return {s: _det([[row[j] for j in s] for row in rows])
+                    for s in combinations(cols, m)}
     # the first row's entries are its 1-minors; with no rows the one 0-minor is 1
     minors = [rows[0][j] for j in cols] if m else [1]
     for k in range(1, m):

@@ -102,7 +102,8 @@ def closedness_search(weights, zeros, bound: int):
     d_j > 0 off the pattern.  Returns a witness d or None.
 
     Coordinates inside the pattern range over [-bound, bound]; their partial
-    sums are tabulated once, so the loop only runs over the complement.  A
+    sums are tabulated once, so the loop only runs over the complement, and
+    raises TooLarge if its (bound + 1)^|outside| points pass _ENUM_BUDGET.  A
     witness needs some d_j > 0, so the bound must be at least 1.
     """
     if bound < 1:
@@ -116,6 +117,8 @@ def closedness_search(weights, zeros, bound: int):
     outside = [j for j in range(1, n + 1) if j not in zeros]
     if not outside:
         return None
+    if (bound + 1)**len(outside) > _ENUM_BUDGET:
+        raise TooLarge("walk exceeds the enumeration budget")
     # achievable sums over the pattern coordinates, with one witness each
     sums = {0: {}}
     for j in inside:
@@ -129,10 +132,11 @@ def closedness_search(weights, zeros, bound: int):
                     witness[j] = dj
                     nxt[key] = witness
         sums = nxt
+    negated = [-weights[j - 1] for j in outside]
     for d_out in product(range(bound + 1), repeat=len(outside)):
         if not any(d_out):
             continue
-        need = -sum(dj * weights[j - 1] for dj, j in zip(d_out, outside))
+        need = sum(map(operator.mul, d_out, negated))
         if need in sums:
             d = [0] * n
             for dj, j in zip(d_out, outside):

@@ -210,6 +210,9 @@ class TestContracts:
         code, out = run(capsys, "hnf", "--stdin")
         assert code == 0
         assert out == golden({"rows": 2, "cols": 2, "entries": [[1, 0], [0, 2]]})
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 2; 3 4_0"))
+        code, payload = run_json(capsys, "hnf", "--stdin")
+        assert code == 1 and payload["error"] == "value"
 
     def test_malformed_input_exits_1(self, capsys):
         for argv in [
@@ -238,6 +241,45 @@ class TestContracts:
         assert json.loads(out) == {"schema_version": 1, "ok": False,
                                    "error": "usage", "message": message}
         assert err == f"diagtorus: {message}\n"
+
+    @pytest.mark.parametrize("argv,error,message", [
+        # a matrix literal rejects a token as it rejects "x"
+        (("hnf", "--matrix", "1_000 2"), "value",
+         "invalid literal for int() with base 10: '1_000'"),
+        (("hnf", "--matrix", "1 2; 3 \u0664"), "value",
+         "invalid literal for int() with base 10: '\u0664'"),
+        (("hnf", "--matrix", "1 x; 1_0 2"), "value",
+         "invalid literal for int() with base 10: 'x'"),
+        (("hnf", "--matrix", "1_0 x; 1 2"), "value",
+         "invalid literal for int() with base 10: '1_0'"),
+        (("orbit", "--weights", "\u0661 2"), "usage",
+         "invalid integer vector: invalid literal for int() with base 10: '\u0661'"),
+        (("oracle-closedness", "--weights", "1 1", "--zeros", "1_0"), "usage",
+         "invalid zero pattern: invalid literal for int() with base 10: '1_0'"),
+        (("roots", "--dim", "1_0", "--degree", "1"), "usage",
+         "argument --dim: invalid int value: '1_0'"),
+        (("roots", "--dim", "2", "--degree", "\uff11"), "usage",
+         "argument --degree: invalid int value: '\uff11'"),
+        (("oracle-torsion-count", "--weights", "1 1", "--modulus", "1_0"), "usage",
+         "argument --modulus: invalid int value: '1_0'"),
+        (("oracle-lattice-equal", "--a", "1", "--b", "1", "--bound", "\u0663"), "usage",
+         "argument --bound: invalid int value: '\u0663'"),
+    ])
+    def test_integer_tokens_are_ascii_digits(self, capsys, argv, error, message):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert json.loads(out) == {"schema_version": 1, "ok": False,
+                                   "error": error, "message": message}
+        assert err == f"diagtorus: {message}\n"
+
+    def test_integer_tokens_keep_sign_and_leading_zeros(self, capsys):
+        # the separators are what str.split takes, non-ASCII spaces included
+        assert cli._parse_vector("+1 -02\u2003007") == (1, -2, 7)
+        assert cli._parse_matrix_text("+1 -02;\u3000-0 007").entries == ((1, -2), (0, 7))
+        assert cli._parse_zeros("1,+2 03") == {1, 2, 3}
+        code, out = run(capsys, "roots", "--dim", "+2", "--degree", "01")
+        assert code == 0 and json.loads(out)["result"]
 
     @pytest.mark.parametrize("argv,message", [
         (("oracle-lattice-equal", "--a", "1 0", "--b", "2 0", "--bound", "-1"),
@@ -400,7 +442,7 @@ def invalid_argvs(name):
             yield valid_argv(name, {flag: None})
         if "choices" in keywords:
             yield valid_argv(name, {flag: "no-such-choice"})
-        if keywords.get("type") is int:
+        if "type" in keywords:  # every typed option takes integers
             yield valid_argv(name, {flag: "x"})
 
 
@@ -411,36 +453,54 @@ def parse_error(parser, argv) -> str:
 
 
 @pytest.fixture
-def subparsers_built(monkeypatch):
-    """The subcommand names added to any parser during the test, in order."""
+def parsers_built(monkeypatch):
+    """The prog of each argument parser built during the test, in order; a
+    subparser counts as one, under its own prog."""
     built = []
-    add_parser = argparse._SubParsersAction.add_parser
+    init = argparse.ArgumentParser.__init__
 
-    def counting(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     return built
+
+
+def full_parser_progs():
+    """What building the full parser adds to parsers_built."""
+    return ["diagtorus", *(f"diagtorus {name}" for name in cli._COMMANDS)]
+
+
+def without_command(namespace):
+    """The full parser's namespace without its command, which no handler
+    reads."""
+    fields = vars(namespace).copy()
+    del fields["command"]
+    return argparse.Namespace(**fields)
 
 
 @pytest.mark.parametrize("name", list(cli._COMMANDS))
 class TestOneSubcommandParser:
+    """main parses argv[1:] with the named subcommand's own parser; it must
+    answer as the full parser does on all of argv."""
+
     def test_same_namespace(self, name):
         argv = valid_argv(name)
-        assert cli.build_parser([name]).parse_args(argv) == \
-            cli.build_parser().parse_args(argv)
+        assert cli._parser_for(name).parse_args(argv[1:]) == \
+            without_command(cli.build_parser().parse_args(argv))
 
     def test_same_errors(self, name):
         for argv in invalid_argvs(name):
-            assert parse_error(cli.build_parser([name]), argv) == \
+            assert parse_error(cli._parser_for(name), argv[1:]) == \
                 parse_error(cli.build_parser(), argv), argv
 
     def test_same_help(self, capsys, name):
         helps = []
-        for parser in (cli.build_parser([name]), cli.build_parser()):
+        for parser, argv in ((cli._parser_for(name), ["--help"]),
+                             (cli.build_parser(), [name, "--help"])):
             with pytest.raises(SystemExit):
-                parser.parse_args([name, "--help"])
+                parser.parse_args(argv)
             helps.append(capsys.readouterr().out)
         assert helps[0] == helps[1]
         assert helps[0].startswith(f"usage: diagtorus {name} ")
@@ -456,7 +516,7 @@ def fresh_parsers():
 
 @pytest.mark.usefixtures("fresh_parsers")
 class TestParserPerProcess:
-    def test_main_builds_only_the_named_subcommand(self, capsys, subparsers_built):
+    def test_main_builds_only_the_named_subcommand(self, capsys, parsers_built):
         for _ in range(3):
             code, out = run(capsys, "hnf", "--matrix", "1 2")
             assert (code, out) == (0, golden({"rows": 1, "cols": 2, "entries": [[1, 2]]}))
@@ -464,9 +524,10 @@ class TestParserPerProcess:
             assert code == 1 and json.loads(out)["error"] == "usage"
             code, out = run(capsys, "hnf", "--help")
             assert code == 0 and out.startswith("usage: diagtorus hnf ")
-        assert subparsers_built == ["hnf"]
+        # the one standalone parser, and no full parser around it
+        assert parsers_built == ["diagtorus hnf"]
 
-    def test_no_command_gets_the_full_parser(self, capsys, subparsers_built):
+    def test_no_command_gets_the_full_parser(self, capsys, parsers_built):
         def usage_error(*argv):
             assert main(list(argv)) == 1
             out, err = capsys.readouterr()
@@ -483,12 +544,12 @@ class TestParserPerProcess:
             assert usage_error("--bogus", "hnf") == "unrecognized arguments: --bogus"
             assert main(["--help"]) == 0
             assert capsys.readouterr().out == cli.build_parser().format_help()
-        # one full table for all eight main calls, one for each reference
-        assert subparsers_built == list(cli._COMMANDS) * 3
+        # one full parser for all eight main calls, one for each reference
+        assert parsers_built == full_parser_progs() * 3
 
-    def test_build_parser_is_fresh(self, subparsers_built):
+    def test_build_parser_is_fresh(self, parsers_built):
         assert cli.build_parser() is not cli.build_parser()
-        assert subparsers_built == list(cli._COMMANDS) * 2
+        assert parsers_built == full_parser_progs() * 2
 
     def test_reused_parsers_answer_as_fresh_ones(self, capsys, monkeypatch):
         argvs = [[], ["--help"], ["no-such-command"], ["hnf", "--matrix", "1 2; 3 4"],
