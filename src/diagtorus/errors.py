@@ -30,4 +30,25 @@ class NotInGroup(DiagTorusError):
 
 
 class TooLarge(DiagTorusError):
-    """The requested brute-force enumeration exceeds the desk-scale budget."""
+    """Raised by check_budget: a brute-force path's cost passes its budget."""
+
+
+# the budgets of the brute-force paths, by the kind of cost they count
+BUDGETS = {
+    # arithmetic steps (box, walk or torsion points, pattern sums, minors
+    # terms): at the figure the box takes about 7 s of pure Python and the
+    # torsion count 18 s, as long as a desk-scale query should wait
+    "work": 10**7,
+    # elements a listing holds at once: at about 0.5 kB each, 10**5 is 50 MB
+    "list": 10**5,
+    # partial assignments of the column permutation search: two random
+    # rank-6 lattices in Z^12 that it cannot split reach it in about 9 s
+    "nodes": 50_000,
+}
+
+
+def check_budget(cost: int, kind: str, message: str) -> None:
+    """Raise TooLarge when cost passes the budget of its kind.  The message
+    is formatted, with {cost} replaced by the cost, only when it raises."""
+    if cost > BUDGETS[kind]:
+        raise TooLarge(message.format(cost=cost))

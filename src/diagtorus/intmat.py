@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import chain, combinations, count, cycle, repeat
 from math import comb, gcd
 
-from .errors import NotUnimodular, RankDeficient, TooLarge
+from .errors import BUDGETS, NotUnimodular, RankDeficient, check_budget
 
 Row = tuple[int, ...]
 
@@ -364,10 +364,6 @@ def _cached_laplace_table(n: int, k: int) -> tuple | None:
     return None
 
 
-# in _minors' cost units: 6 x 30 (4.4e6) stays under it, 7 x 30 (1.9e7) does not
-_MINORS_BUDGET = 10**7
-
-
 def _minors(rows, cols) -> dict[tuple[int, ...], int]:
     """Every len(rows)-square minor of rows on the columns cols, keyed by
     column tuples of cols in combinations order.
@@ -379,16 +375,15 @@ def _minors(rows, cols) -> dict[tuple[int, ...], int]:
     keyed once at the end.  One Bareiss elimination per minor costs, in the
     same units as measured, about C(n, m) (3 + m^3 / 7).  It serves instead
     whenever that is no more, which never happens when 2m <= n.  It raises
-    TooLarge when the cheaper cost passes _MINORS_BUDGET; m 2^n bounds the
-    Laplace sum, so while that is within the budget the check is one
-    comparison.
+    TooLarge when the cheaper cost passes the work budget, so 6 x 30 (4.4e6
+    units) answers and 7 x 30 (1.9e7) does not; m 2^n bounds the Laplace
+    sum, so while that is within the budget the check is one comparison.
     """
     m, n = len(rows), len(cols)
-    if 2 * m > n or m << n > _MINORS_BUDGET:
+    if 2 * m > n or m << n > BUDGETS["work"]:
         laplace = sum(k * comb(n, k) for k in range(m + 1))
         bareiss = comb(n, m) * (3 + m ** 3 // 7)
-        if min(laplace, bareiss) > _MINORS_BUDGET:
-            raise TooLarge("maximal minors exceed the computation budget")
+        check_budget(min(laplace, bareiss), "work", "maximal minors exceed the computation budget")
         if laplace >= bareiss:
             return {s: _det([[row[j] for j in s] for row in rows])
                     for s in combinations(cols, m)}

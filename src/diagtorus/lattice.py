@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import DimensionMismatch, NotUnimodular, TooLarge
+from .errors import BUDGETS, DimensionMismatch, NotUnimodular, check_budget
 from .intmat import (
     IntMatrix,
     _hermite_pass,
@@ -24,10 +24,6 @@ from .intmat import (
     invariant_factors,
     pluecker_coordinates,
 )
-
-# partial column assignments permuted_equal may try before giving up
-_NODE_BUDGET = 50_000
-
 
 @dataclass(frozen=True)
 class RowLattice:
@@ -223,7 +219,7 @@ def permuted_equal(a: IntMatrix, b: IntMatrix):
     Columns k < l of b whose swap fixes the lattice of b lead to the same
     answers up to that swap, so once k has failed at a position, l is not
     tried there: repeated weights cost one branch, not all their orders.
-    The search raises TooLarge after _NODE_BUDGET partial assignments.  It
+    Past its node budget, 50,000 partial assignments, it raises TooLarge.  It
     can still get there on a large class that refinement cannot split, whose
     symmetries are not column swaps and whose prefix projections agree deep
     into the order: generic lattices of rank about n/2 whose pair colours
@@ -262,7 +258,7 @@ def permuted_equal(a: IntMatrix, b: IntMatrix):
     swaps: dict[tuple[int, int], bool] = {}
     perm: list[int] = []
     used = [False] * n
-    nodes = 0
+    nodes, limit = 0, BUDGETS["nodes"]
 
     def fits(j: int, checks) -> bool:
         for (ra, rb), want in zip(checks, wants):
@@ -287,8 +283,8 @@ def permuted_equal(a: IntMatrix, b: IntMatrix):
             if used[k] or cb[k] != ca[j] or any(twin(f, k) for f in failed):
                 continue
             nodes += 1
-            if nodes > _NODE_BUDGET:
-                raise TooLarge("column permutation search exceeds its node budget")
+            if nodes > limit:
+                check_budget(nodes, "nodes", "column permutation search exceeds its node budget")
             perm.append(k)
             if j >= last or fits(j + 1, pairs):
                 used[k] = True

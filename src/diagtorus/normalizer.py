@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .action import _is_stable
-from .errors import TooLarge
+from .errors import check_budget
 
 FULL_TORUS = "full_torus"
 AXIS = "axis"
@@ -22,11 +22,6 @@ SAME_SIGN_ALL_NONZERO = "same_sign_all_nonzero"
 NO_UNIT_WEIGHTS = "no_unit_weights"
 ZERO_AND_UNIT_SAME_SIGN = "zero_and_unit_same_sign"
 MIXED_SIGNS = "mixed_signs"
-
-# normalizer elements monomial_normalizer may list before giving up: a
-# listing costs about 0.5 kB of memory per element, so 10**5 stays near 50 MB
-_LIST_BUDGET = 10**5
-
 
 @dataclass(frozen=True)
 class NormalizerCase:
@@ -84,7 +79,7 @@ def monomial_normalizer(weights):
     The elements are built position by position: sigma(j) runs over the
     unused k with l_k = eps * l_j, for the signs still possible, so the work
     follows the size of the group.  Its order is computed first, and a group
-    of more than _LIST_BUDGET elements raises TooLarge.
+    of more than 10**5 elements, the listing budget, raises TooLarge.
     """
     return _monomial_normalizer(tuple(map(operator.index, weights)))
 
@@ -97,8 +92,7 @@ def _monomial_normalizer(weights):
     order = len(signs)
     for x in set(weights):
         order *= factorial(weights.count(x))
-    if order > _LIST_BUDGET:
-        raise TooLarge(f"normalizer has {order} elements, over the listing budget")
+    check_budget(order, "list", "normalizer has {cost} elements, over the listing budget")
     # the k that position j may map to, with the signs that allow each
     cands = [[(k, fits) for k, y in enumerate(weights)
               if (fits := tuple(e for e in signs if y == e * x))]

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import operator
 from itertools import product
+from math import factorial
 
-from .errors import DimensionMismatch, TooLarge
+from .errors import DimensionMismatch, check_budget
 from .intmat import IntMatrix, smith_normal_form
-
-_ENUM_BUDGET = 10**7
 
 
 def _snf_membership_data(a: IntMatrix):
@@ -33,8 +32,7 @@ def torsion_count(group, modulus: int) -> int:
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     n = group.ambient_dim
-    if modulus**n > _ENUM_BUDGET:
-        raise TooLarge("m^n exceeds the enumeration budget")
+    check_budget(modulus**n, "work", "m^n exceeds the enumeration budget")
     rows = group.lattice.basis.entries
     count = 0
     for t in product(range(modulus), repeat=n):
@@ -59,8 +57,7 @@ def lattice_equal_bounded(a: IntMatrix, b: IntMatrix, bound: int) -> bool:
     if a.cols != b.cols:
         return False
     n = a.cols
-    if (2 * bound + 1)**n > _ENUM_BUDGET:
-        raise TooLarge("box exceeds the enumeration budget")
+    check_budget((2 * bound + 1)**n, "work", "box exceeds the enumeration budget")
     va, fa, ra = _snf_membership_data(a)
     vb, fb, rb = _snf_membership_data(b)
     rows = [ua + ub for ua, ub in zip(va.entries, vb.entries)]
@@ -102,9 +99,10 @@ def closedness_search(weights, zeros, bound: int):
     d_j > 0 off the pattern.  Returns a witness d or None.
 
     Coordinates inside the pattern range over [-bound, bound]; their partial
-    sums are tabulated once, so the loop only runs over the complement, and
-    raises TooLarge if its (bound + 1)^|outside| points pass _ENUM_BUDGET.  A
-    witness needs some d_j > 0, so the bound must be at least 1.
+    sums are tabulated once, so the loop only runs over the complement.  The
+    work budget caps the loop's (bound + 1)^|outside| points and the table's
+    2 bound + 1 candidates per sum per coordinate, each counted before the
+    work.  A witness needs some d_j > 0, so the bound must be at least 1.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -117,11 +115,13 @@ def closedness_search(weights, zeros, bound: int):
     outside = [j for j in range(1, n + 1) if j not in zeros]
     if not outside:
         return None
-    if (bound + 1)**len(outside) > _ENUM_BUDGET:
-        raise TooLarge("walk exceeds the enumeration budget")
+    check_budget((bound + 1)**len(outside), "work", "walk exceeds the enumeration budget")
     # achievable sums over the pattern coordinates, with one witness each
     sums = {0: {}}
+    cost = 0
     for j in inside:
+        cost += len(sums) * (2 * bound + 1)
+        check_budget(cost, "work", "pattern sums exceed the enumeration budget")
         lj = weights[j - 1]
         nxt = {}
         for s, assign in sums.items():
@@ -164,15 +164,14 @@ def perm_sign_exhaust(weights, other):
     A prefix that no sign fits cannot extend to a solution, so pruning it
     skips nothing and the first full assignment is the lex-least answer.
     The worst case is still factorial (repeated weights that never match
-    visit every arrangement of the repeats), hence the n <= 8 cap.
+    visit every arrangement of the repeats): n! must be within the listing budget.
     """
     weights = tuple(map(operator.index, weights))
     other = tuple(map(operator.index, other))
     if len(weights) != len(other):
         return None
     n = len(weights)
-    if n > 8:
-        raise TooLarge("factorial search limited to n <= 8")
+    check_budget(factorial(n), "list", "factorial search limited to n <= 8")
     sigma: list[int] = []
     used = [False] * n
 

@@ -13,15 +13,10 @@ import operator
 from dataclasses import dataclass
 from math import comb
 
-from .errors import TooLarge
+from .errors import check_budget
 
 DN = "Dn"
 DN_STAR = "Dn_star"
-
-# root vectors enumerate_root_vectors may list before giving up; the figure
-# is normalizer's listing budget
-_LIST_BUDGET = 10**5
-
 
 @dataclass(frozen=True)
 class RootVector:
@@ -54,13 +49,12 @@ class Root:
 
 def enumerate_root_vectors(n: int, max_degree: int) -> list[RootVector]:
     """All root vectors of total degree at most max_degree, in lexicographic
-    order of (i, l).  A listing of more than _LIST_BUDGET vectors raises
-    TooLarge before any is built."""
+    order of (i, l).  A listing of more than 10**5 vectors, the listing
+    budget, raises TooLarge before any is built."""
     if n < 1 or max_degree < 0:
         raise ValueError("need n >= 1 and max_degree >= 0")
-    count = root_vector_count(n, max_degree)
-    if count > _LIST_BUDGET:
-        raise TooLarge(f"{count} root vectors, over the listing budget")
+    check_budget(root_vector_count(n, max_degree), "list",
+                 "{cost} root vectors, over the listing budget")
     rest = _bounded_tuples(n - 1, max_degree)
     return [_unchecked(i, l[:i - 1] + (0,) + l[i - 1:])
             for i in range(1, n + 1) for l in rest]

@@ -3,7 +3,9 @@ integer arithmetic only, the oracles reached only from the CLI's oracle
 subcommands and independent of the modules they arbitrate, no module
 enumerating permutations with itertools, and integer input taken strictly,
 never coerced, outside the CLI's text parsing.  No module imports a
-package that only the tests use, and no module-level name goes unused."""
+package that only the tests use, and no module-level name goes unused.
+Budgets live in one place: only errors defines a budget figure or raises
+TooLarge."""
 
 import ast
 from pathlib import Path
@@ -94,6 +96,17 @@ def module_level_names(path: Path) -> set[str]:
     return {name for name in names if not name.startswith("__")}
 
 
+def too_large_raisers() -> set[str]:
+    """Modules that call TooLarge, by name or as an attribute."""
+    found = set()
+    for stem, path in MODULES.items():
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and "TooLarge" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.add(stem)
+    return found
+
+
 def referenced_names(path: Path) -> set[str]:
     """Names a module reads, reaches as attributes, imports by name, or
     exports through its export table."""
@@ -150,6 +163,17 @@ def test_every_module_level_name_is_used():
               for name in module_level_names(path) - used}
     assert unused == set()
     assert "_mix" in module_level_names(MODULES["intmat"])
+
+
+def test_only_errors_raises_too_large():
+    # check_budget raises it, so an empty scan cannot pass
+    assert too_large_raisers() == {"errors"}
+
+
+def test_only_errors_defines_budgets():
+    # errors defines BUDGETS, so an empty scan cannot pass
+    assert {stem for stem, path in MODULES.items()
+            if any("BUDGET" in name for name in module_level_names(path))} == {"errors"}
 
 
 def test_only_the_cli_coerces_with_int():

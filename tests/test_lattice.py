@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from diagtorus import lattice
+from diagtorus import errors, lattice
 from diagtorus import (
     IntMatrix,
     contains,
@@ -547,7 +547,7 @@ class TestPermutedEqualCost:
 
     def test_node_budget(self, monkeypatch, capsys):
         # the match (5, 4, ..., 0) needs at least 6 partial assignments
-        monkeypatch.setattr(lattice, "_NODE_BUDGET", 3)
+        monkeypatch.setitem(errors.BUDGETS, "nodes", 3)
         a, b = "1 1 1 1 1 1; 0 1 2 3 4 7", "1 1 1 1 1 1; 7 4 3 2 1 0"
         with pytest.raises(TooLarge):
             permuted_equal(IntMatrix.from_rows([[1] * 6, [0, 1, 2, 3, 4, 7]]),

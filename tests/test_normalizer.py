@@ -8,8 +8,8 @@ from diagtorus import (
     DiagSubgroup,
     IntMatrix,
     contains,
+    errors,
     lattice_of,
-    normalizer,
     subgroups_equal,
 )
 from diagtorus.cli import main
@@ -231,7 +231,7 @@ class TestBudget:
         assert rep.perm_order == factorial(8)
 
     def test_over_budget_raises_before_listing(self, monkeypatch):
-        monkeypatch.setattr(normalizer, "_LIST_BUDGET", 100)
+        monkeypatch.setitem(errors.BUDGETS, "list", 100)
         assert normalizer_report((1, 1, 1, 2, 2)).perm_order == 12
         with pytest.raises(TooLarge):
             normalizer_report((1, 1, 1, 1, 1))

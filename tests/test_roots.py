@@ -4,7 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
-from diagtorus import roots
+from diagtorus import errors
 from diagtorus.cli import main
 from diagtorus.errors import TooLarge
 from diagtorus.roots import (
@@ -83,9 +83,9 @@ class TestEnumeration:
 
     def test_listing_budget(self, monkeypatch, capsys):
         # 3 * C(4, 2) = 18 vectors pass a budget of 18 and not one of 17
-        monkeypatch.setattr(roots, "_LIST_BUDGET", 18)
+        monkeypatch.setitem(errors.BUDGETS, "list", 18)
         assert len(enumerate_root_vectors(3, 2)) == 18
-        monkeypatch.setattr(roots, "_LIST_BUDGET", 17)
+        monkeypatch.setitem(errors.BUDGETS, "list", 17)
         with pytest.raises(TooLarge):
             enumerate_root_vectors(3, 2)
         assert main(["roots", "--dim", "3", "--degree", "2"]) == 2
