@@ -47,11 +47,7 @@ def classify_case(weights) -> NormalizerCase:
     broader same-sign conditions because its normalizer picks up an affine
     translation and is not monomial.
     """
-    return _classify_case(tuple(map(operator.index, weights)))
-
-
-# the private twins trust their weights, so normalizer_report checks once
-def _classify_case(weights) -> NormalizerCase:
+    weights = tuple(map(operator.index, weights))
     if not any(weights):
         return NormalizerCase(FULL_TORUS)
     nonzero = [(i, x) for i, x in enumerate(weights, start=1) if x]
@@ -76,51 +72,32 @@ def monomial_normalizer(weights):
     list generates (indeed equals) the group.  For n = 0 both signs are the
     identity, listed once as ((), 1).
 
-    The elements are built position by position: sigma(j) runs over the
-    unused k with l_k = eps * l_j, for the signs still possible, so the work
-    follows the size of the group.  Its order is computed first, and a group
-    of more than 10**5 elements, the listing budget, raises TooLarge.
+    For each sign the group is built level by level, with no search: level
+    j extends every prefix sigma(1..j-1) by each unused k with
+    l_k = eps * l_j.  For a sign in the group, the positions of each weight
+    x and the targets of eps * x are equally many, so every prefix extends
+    to a whole element and no level is larger than the group.  Its order is
+    computed first, and a group of more than 10**5 elements, the listing
+    budget, raises TooLarge.
     """
-    return _monomial_normalizer(tuple(map(operator.index, weights)))
-
-
-def _monomial_normalizer(weights):
-    n = len(weights)
+    weights = tuple(map(operator.index, weights))
     # a sign-reversing element exists iff l and -l agree up to permutation;
     # on the 0-dimensional torus inversion is the identity, not a second one
-    signs = (1, -1) if n and sorted(weights) == sorted(-x for x in weights) else (1,)
+    signs = (1, -1) if weights and sorted(weights) == sorted(-x for x in weights) else (1,)
     order = len(signs)
     for x in set(weights):
         order *= factorial(weights.count(x))
     check_budget(order, "list", "normalizer has {cost} elements, over the listing budget")
-    # the k that position j may map to, with the signs that allow each
-    cands = [[(k, fits) for k, y in enumerate(weights)
-              if (fits := tuple(e for e in signs if y == e * x))]
-             for x in weights]
     out = []
-    sigma: list[int] = []
-    used = [False] * n
-
-    def extend(live) -> None:
-        j = len(sigma)
-        if j == n:
-            out.extend((tuple(sigma), eps) for eps in live)
-            return
-        for k, fits in cands[j]:
-            if used[k]:
-                continue
-            if len(live) == 1:
-                if live[0] not in fits:
-                    continue
-                fits = live
-            sigma.append(k)
-            used[k] = True
-            extend(fits)
-            used[k] = False
-            sigma.pop()
-
-    extend(signs)
-    return tuple(out)
+    for eps in signs:
+        level = [()]
+        for x in weights:
+            fits = [k for k, y in enumerate(weights) if y == eps * x]
+            level = [p + (k,) for p in level for k in fits if k not in p]
+        out += [(sigma, eps) for sigma in level]
+    # each sign's list is already sorted, and only the zero vector lists a
+    # sigma under both; the stable sort merges them with eps = 1 first
+    return tuple(sorted(out, key=operator.itemgetter(0)))
 
 
 def monomial_centralizer(weights):
@@ -131,10 +108,7 @@ def monomial_centralizer(weights):
     primitive, so l = +-(e_a - e_b) and sigma is the transposition (a b).
     Any other l admits only the identity.
     """
-    return _monomial_centralizer(tuple(map(operator.index, weights)))
-
-
-def _monomial_centralizer(weights):
+    weights = tuple(map(operator.index, weights))
     ident = tuple(range(len(weights)))
     support = [i for i, x in enumerate(weights) if x]
     if len(support) == 2 and sorted(weights[i] for i in support) == [-1, 1]:
@@ -147,9 +121,9 @@ def _monomial_centralizer(weights):
 
 def normalizer_report(weights) -> NormalizerReport:
     weights = tuple(map(operator.index, weights))
-    case = _classify_case(weights)
-    perm_part = _monomial_normalizer(weights)
-    central = _monomial_centralizer(weights)
+    case = classify_case(weights)
+    perm_part = monomial_normalizer(weights)
+    central = monomial_centralizer(weights)
     explicit = None
     note = None
     contained = True

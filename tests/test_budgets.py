@@ -4,13 +4,12 @@ few seconds of wall time.  Every budget in errors.BUDGETS has a family here;
 one whose largest answering member would take longer than the deadline at
 the real figure steps over it in one jump, or lowers the figure."""
 
-import contextlib
 import json
 import random
-import signal
 
 import pytest
 
+from conftest import deadline
 from diagtorus import DiagSubgroup, errors, permuted_equal
 from diagtorus.cli import main
 from diagtorus.errors import TooLarge
@@ -24,28 +23,6 @@ from diagtorus.oracle import (
     torsion_count,
 )
 from diagtorus.roots import enumerate_root_vectors
-
-SECONDS = 3.0
-
-
-@contextlib.contextmanager
-def deadline():
-    """Fail the block once it has run SECONDS of wall time: SIGALRM stops a
-    call that would hang instead of waiting for it to finish."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {SECONDS} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, SECONDS)
-    try:
-        yield
-    except TimeoutError:
-        # the frame SIGALRM interrupted can lack a line number, and pytest
-        # fails internally on printing it, so the stopped call is dropped
-        raise TimeoutError(f"still running after {SECONDS} s") from None
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def first_too_large(call, sizes):

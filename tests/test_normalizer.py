@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from conftest import deadline
 from diagtorus import (
     DiagSubgroup,
     IntMatrix,
@@ -117,16 +118,17 @@ class TestMonomialNormalizer:
                 assert perm_part_is_consistent(l), l
 
     def test_defining_condition_is_exact(self):
-        from itertools import permutations
-        for l in [(1, 2, 0), (2, -2), (1, 1, -1)]:
-            n = len(l)
-            got = set(monomial_normalizer(l))
-            want = set()
-            for sigma in permutations(range(n)):
-                for eps in (1, -1):
-                    if all(l[sigma[j]] == eps * l[j] for j in range(n)):
-                        want.add((sigma, eps))
-            assert got == want
+        # every (sigma, eps) that satisfies the definition, in the documented
+        # order: sigma lexicographic, eps = 1 before eps = -1
+        for n in range(1, 6):
+            for l in product(range(-2, 3), repeat=n):
+                want = sorted(((sigma, eps) for sigma in permutations(range(n))
+                               for eps in (1, -1)
+                               if all(l[sigma[j]] == eps * l[j] for j in range(n))),
+                              key=lambda e: (e[0], -e[1]))
+                assert monomial_normalizer(l) == tuple(want), l
+        # on the 0-dimensional torus both signs are the identity, listed once
+        assert monomial_normalizer(()) == (((), 1),)
 
     def test_closure_under_composition(self):
         for l in [(1, 1, 0), (1, -1), (2, 4), (1, 2, 3)]:
@@ -225,10 +227,13 @@ class TestAgainstScan:
 
 class TestBudget:
     def test_baseline_case_is_fast(self):
-        t0 = time.perf_counter()
-        rep = normalizer_report((1,) * 8 + (-1,))
-        assert time.perf_counter() - t0 < 1.0
-        assert rep.perm_order == factorial(8)
+        # the full torus is the largest listing that uses both signs
+        for weights, order in (((1,) * 8 + (-1,), factorial(8)),
+                               ((0,) * 8, 2 * factorial(8))):
+            t0 = time.perf_counter()
+            rep = normalizer_report(weights)
+            assert time.perf_counter() - t0 < 1.0
+            assert rep.perm_order == order
 
     def test_over_budget_raises_before_listing(self, monkeypatch):
         monkeypatch.setitem(errors.BUDGETS, "list", 100)
@@ -239,6 +244,7 @@ class TestBudget:
     def test_cli_exits_2_over_budget(self, capsys):
         # 12! elements: refused from the order alone, without enumerating
         t0 = time.perf_counter()
-        assert main(["normalizer", "--weights", " ".join(["1"] * 12)]) == 2
+        with deadline():
+            assert main(["normalizer", "--weights", " ".join(["1"] * 12)]) == 2
         assert time.perf_counter() - t0 < 1.0
         assert '"error":"TooLarge"' in capsys.readouterr().out
