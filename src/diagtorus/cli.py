@@ -321,20 +321,25 @@ _COMMANDS = {
 }
 
 
+def _declared(name: str):
+    """Each flag of subcommand name with its add_argument keywords, in
+    declaration order."""
+    for arg in _COMMANDS[name][1]:
+        if isinstance(arg, str):
+            yield f"--{arg}", {"help": "matrix literal, rows separated by ';'"}
+            yield f"--{arg}-json", {"help": "matrix as a JSON object"}
+            if arg == "matrix":
+                yield "--stdin", {"action": "store_true",
+                                  "help": "read the matrix literal from standard input"}
+        else:
+            yield arg
+
+
 def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     """Give parser the arguments and the handler of subcommand name."""
-    func, arguments = _COMMANDS[name]
-    for arg in arguments:
-        if isinstance(arg, str):
-            parser.add_argument(f"--{arg}", help="matrix literal, rows separated by ';'")
-            parser.add_argument(f"--{arg}-json", help="matrix as a JSON object")
-            if arg == "matrix":
-                parser.add_argument("--stdin", action="store_true",
-                                    help="read the matrix literal from standard input")
-        else:
-            flag, keywords = arg
-            parser.add_argument(flag, **keywords)
-    parser.set_defaults(func=func)
+    for flag, keywords in _declared(name):
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(func=_COMMANDS[name][0])
     return parser
 
 
@@ -363,6 +368,86 @@ def _parser_for(name: str | None) -> argparse.ArgumentParser:
     return _add_arguments(_Parser(prog=f"diagtorus {name}"), name)
 
 
+@functools.cache
+def _flag_table(name: str):
+    """Subcommand name's flags as _read_flags reads them, from the same
+    declarations as its parser: each flag with its dest, whether it takes a
+    value, its type and its choices; the Namespace fields before any flag is
+    read; and the required flags.  Built once per process, as the parser is."""
+    flags, fields, required = {}, {"func": _COMMANDS[name][0]}, set()
+    for flag, keywords in _declared(name):
+        dest = flag[2:].replace("-", "_")
+        takes_value = keywords.get("action") != "store_true"
+        flags[flag] = dest, takes_value, keywords.get("type"), keywords.get("choices")
+        fields[dest] = keywords.get("default", None if takes_value else False)
+        if keywords.get("required"):
+            required.add(flag)
+    return flags, fields, frozenset(required)
+
+
+def _is_value(token: str) -> bool:
+    """Whether argparse reads token as an option's value rather than as an
+    option, for a parser whose only single-dash option is -h: text that does
+    not start with '-' is a value, and so are a negative integer and text
+    with a space that start with neither '--' nor '-h'.  Other tokens that
+    start with '-', some of which argparse reads as values too, are left to
+    argparse."""
+    return not token.startswith("-") or (
+        not token.startswith(("--", "-h")) and (token[1:].isdecimal() or " " in token))
+
+
+def _read_flags(name: str, argv) -> argparse.Namespace | None:
+    """The Namespace that subcommand name's parser returns for argv, read from
+    its flag table, or None when argv is not plainly well formed.
+
+    Plainly well formed: every token is an exact flag, each followed by a
+    value when it takes one; each value is _is_value and passes its type and
+    choices; every required flag is given.  A repeated flag keeps its last
+    value, as argparse's store action does.  None leaves the rest to argparse:
+    help, abbreviations, --flag=value, '--', unknown flags, and every usage
+    error with its message.
+    """
+    flags, defaults, required = _flag_table(name)
+    fields = dict(defaults)
+    tokens = iter(argv)
+    for token in tokens:
+        entry = flags.get(token)
+        if entry is None:
+            return None
+        dest, takes_value, type_, choices = entry
+        value = True
+        if takes_value:
+            value = next(tokens, None)
+            if value is None or not _is_value(value):
+                return None
+            if type_ is not None:
+                try:
+                    value = type_(value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            if choices is not None and value not in choices:
+                return None
+        fields[dest] = value
+    # no value is a flag (_is_value refuses '--'), so each flag in argv was
+    # read as one
+    if not required.issubset(argv):
+        return None
+    return argparse.Namespace(**fields)
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """argv's Namespace.  A named subcommand's plainly well-formed arguments
+    are read from its flag table; anything else is parsed by argparse, which
+    gives every help text and usage error: by the subcommand's own parser, or
+    by the full parser for an empty argv, a leading option or an unknown
+    name."""
+    if argv and argv[0] in _COMMANDS:
+        name, rest = argv[0], argv[1:]
+        args = _read_flags(name, rest)
+        return args if args is not None else _parser_for(name).parse_args(rest)
+    return _parser_for(None).parse_args(argv)
+
+
 def _fields(obj) -> dict:
     """json.dumps hook: a dataclass instance prints as its fields."""
     import dataclasses
@@ -386,15 +471,8 @@ def _fail(code: int, kind: str, exc: Exception) -> int:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a named subcommand's own parser reads the arguments after the name; an
-    # empty argv, a leading option or an unknown name needs the full parser
-    # for its help or its error
-    if argv and argv[0] in _COMMANDS:
-        parser, argv = _parser_for(argv[0]), argv[1:]
-    else:
-        parser = _parser_for(None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         result, witness = args.func(args)
     except SystemExit:  # only --help exits; it has printed the help
         return 0

@@ -49,6 +49,31 @@ BUDGETS = {
 
 def check_budget(cost: int, kind: str, message: str) -> None:
     """Raise TooLarge when cost passes the budget of its kind.  The message
-    is formatted, with {cost} replaced by the cost, only when it raises."""
+    is formatted, with {budget} replaced by that budget, only when it raises:
+    it states the cost as the check knows it, more than the budget, and never
+    prints the cost, which can be past the int-to-str digit limit."""
     if cost > BUDGETS[kind]:
-        raise TooLarge(message.format(cost=cost))
+        raise TooLarge(message.format(budget=BUDGETS[kind]))
+
+
+def check_product(factors, kind: str, message: str) -> None:
+    """check_budget of the product of factors, each an int >= 0 or a
+    (base, exponent) pair for base**exponent with base >= 0.  The factors are
+    multiplied in order only until the product passes the budget, and a power
+    whose bit length alone passes it is not raised, so the check costs little
+    however far past the budget the cost is."""
+    budget = BUDGETS[kind]
+    product = 1
+    for factor in factors:
+        if isinstance(factor, tuple):
+            base, exponent = factor
+            # base >= 2 gives base**exponent >= 2**((bits - 1) * exponent);
+            # otherwise the power has fewer than twice the budget's bits
+            if base > 1 and (base.bit_length() - 1) * exponent >= budget.bit_length():
+                factor = budget + 1
+            else:
+                factor = base**exponent
+        product *= factor
+        if product > budget:
+            break
+    check_budget(product, kind, message)

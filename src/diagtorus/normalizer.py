@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import factorial
+from itertools import chain
 
 from .action import _is_stable
-from .errors import check_budget
+from .errors import check_product
 
 FULL_TORUS = "full_torus"
 AXIS = "axis"
@@ -77,17 +77,16 @@ def monomial_normalizer(weights):
     l_k = eps * l_j.  For a sign in the group, the positions of each weight
     x and the targets of eps * x are equally many, so every prefix extends
     to a whole element and no level is larger than the group.  Its order is
-    computed first, and a group of more than 10**5 elements, the listing
-    budget, raises TooLarge.
+    checked first, multiplied only until it passes the listing budget, and a
+    group of more than 10**5 elements raises TooLarge.
     """
     weights = tuple(map(operator.index, weights))
     # a sign-reversing element exists iff l and -l agree up to permutation;
     # on the 0-dimensional torus inversion is the identity, not a second one
     signs = (1, -1) if weights and sorted(weights) == sorted(-x for x in weights) else (1,)
-    order = len(signs)
-    for x in set(weights):
-        order *= factorial(weights.count(x))
-    check_budget(order, "list", "normalizer has {cost} elements, over the listing budget")
+    # the order, len(signs) times the factorial of each weight's multiplicity
+    check_product(chain([len(signs)], *(range(2, weights.count(x) + 1) for x in set(weights))),
+                  "list", "normalizer has more than {budget} elements, the listing budget")
     out = []
     for eps in signs:
         level = [()]

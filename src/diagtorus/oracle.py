@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import operator
 from itertools import product
-from math import factorial
 
-from .errors import DimensionMismatch, check_budget
+from .errors import DimensionMismatch, check_budget, check_product
 from .intmat import IntMatrix, smith_normal_form
 
 
@@ -32,7 +31,7 @@ def torsion_count(group, modulus: int) -> int:
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     n = group.ambient_dim
-    check_budget(modulus**n, "work", "m^n exceeds the enumeration budget")
+    check_product([(modulus, n)], "work", "m^n exceeds the enumeration budget")
     rows = group.lattice.basis.entries
     count = 0
     for t in product(range(modulus), repeat=n):
@@ -57,7 +56,7 @@ def lattice_equal_bounded(a: IntMatrix, b: IntMatrix, bound: int) -> bool:
     if a.cols != b.cols:
         return False
     n = a.cols
-    check_budget((2 * bound + 1)**n, "work", "box exceeds the enumeration budget")
+    check_product([(2 * bound + 1, n)], "work", "box exceeds the enumeration budget")
     va, fa, ra = _snf_membership_data(a)
     vb, fb, rb = _snf_membership_data(b)
     rows = [ua + ub for ua, ub in zip(va.entries, vb.entries)]
@@ -115,7 +114,7 @@ def closedness_search(weights, zeros, bound: int):
     outside = [j for j in range(1, n + 1) if j not in zeros]
     if not outside:
         return None
-    check_budget((bound + 1)**len(outside), "work", "walk exceeds the enumeration budget")
+    check_product([(bound + 1, len(outside))], "work", "walk exceeds the enumeration budget")
     # achievable sums over the pattern coordinates, with one witness each
     sums = {0: {}}
     cost = 0
@@ -171,7 +170,7 @@ def perm_sign_exhaust(weights, other):
     if len(weights) != len(other):
         return None
     n = len(weights)
-    check_budget(factorial(n), "list", "factorial search limited to n <= 8")
+    check_product(range(2, n + 1), "list", "factorial search limited to n <= 8")
     sigma: list[int] = []
     used = [False] * n
 

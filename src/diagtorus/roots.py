@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from math import comb
 
-from .errors import check_budget
+from .errors import check_budget, check_product
 
 DN = "Dn"
 DN_STAR = "Dn_star"
@@ -53,8 +53,12 @@ def enumerate_root_vectors(n: int, max_degree: int) -> list[RootVector]:
     budget, raises TooLarge before any is built."""
     if n < 1 or max_degree < 0:
         raise ValueError("need n >= 1 and max_degree >= 0")
-    check_budget(root_vector_count(n, max_degree), "list",
-                 "{cost} root vectors, over the listing budget")
+    # the count is n * C(n - 1 + d, k) for k = min(d, n - 1), and the
+    # binomial is at least 2**k: a power of two past the budget spares
+    # computing it, which takes seconds at n = d = 10**6
+    message = "more than {budget} root vectors, the listing budget"
+    check_product([n, (2, min(n - 1, max_degree))], "list", message)
+    check_budget(root_vector_count(n, max_degree), "list", message)
     rest = _bounded_tuples(n - 1, max_degree)
     return [_unchecked(i, l[:i - 1] + (0,) + l[i - 1:])
             for i in range(1, n + 1) for l in rest]

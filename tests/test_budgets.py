@@ -136,3 +136,58 @@ def test_cli_reports_the_budgets(capsys):
             code = main(argv)
         payload = json.loads(capsys.readouterr().out)
         assert (code, payload["error"]) == (2, "TooLarge"), argv[0]
+
+
+def test_check_product_stops_once_past_the_budget(monkeypatch):
+    monkeypatch.setitem(errors.BUDGETS, "work", 100)
+
+    def factors():
+        yield from (10, 10, (1, 10**9), (7, 0))  # 100, at the budget
+        yield 2
+        raise AssertionError("read past the budget")
+
+    with pytest.raises(TooLarge, match="^more than 100$"):
+        errors.check_product(factors(), "work", "more than {budget}")
+    # a power raises exactly when it passes the budget, and one far past it
+    # is refused by its bit length without being raised
+    for base in range(12):
+        for exponent in range(10):
+            try:
+                errors.check_product([(base, exponent)], "work", "")
+            except TooLarge:
+                assert base**exponent > 100
+            else:
+                assert base**exponent <= 100
+    with deadline(), pytest.raises(TooLarge):
+        errors.check_product([(10**3000, 10**9)], "work", "")
+    errors.check_product([0, (10**3000, 10**9)], "work", "")
+
+
+ONES = " ".join(["1"] * 3000)
+FAR = 10**3000
+
+
+# each cost is far past its budget: computing it in full took seconds, and
+# a message that printed it passed the int-to-str digit limit
+@pytest.mark.parametrize("argv, call", [
+    (["normalizer", "--weights", " ".join(["1"] * 2000)],
+     lambda: normalizer_report((1,) * 2000)),
+    (["roots", "--dim", "200000", "--degree", "200000"],
+     lambda: enumerate_root_vectors(200_000, 200_000)),
+    (["roots", "--dim", "1000000", "--degree", "1000000"],
+     lambda: enumerate_root_vectors(10**6, 10**6)),
+    (["oracle-closedness", "--weights", ONES, "--bound", str(FAR)],
+     lambda: closedness_search((1,) * 3000, frozenset(), FAR)),
+    (["oracle-lattice-equal", "--a", ONES, "--b", ONES, "--bound", str(FAR)],
+     lambda: lattice_equal_bounded(IntMatrix.from_rows([[1] * 3000]),
+                                   IntMatrix.from_rows([[1] * 3000]), FAR)),
+    (["oracle-torsion-count", "--weights", ONES, "--modulus", str(FAR)],
+     lambda: torsion_count(DiagSubgroup.from_weights((1,) * 3000), FAR)),
+], ids=["normalizer", "roots-2e5", "roots-1e6", "closedness", "lattice-equal", "torsion"])
+def test_a_cost_far_past_its_budget_is_refused_at_once(capsys, argv, call):
+    with deadline(), pytest.raises(TooLarge, match="more than|exceeds"):
+        call()
+    with deadline():
+        code = main(argv)
+    payload = json.loads(capsys.readouterr().out)
+    assert (code, payload["error"]) == (2, "TooLarge"), payload

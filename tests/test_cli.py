@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diagtorus import cli
 from diagtorus.cli import main
@@ -482,18 +484,21 @@ def without_command(namespace):
 
 @pytest.mark.parametrize("name", list(cli._COMMANDS))
 class TestOneSubcommandParser:
-    """main parses argv[1:] with the named subcommand's own parser; it must
-    answer as the full parser does on all of argv."""
+    """main reads argv[1:] from the named subcommand's flag table, or else
+    parses it with the subcommand's own parser; both must answer as the full
+    parser does on all of argv."""
 
     def test_same_namespace(self, name):
         argv = valid_argv(name)
         assert cli._parser_for(name).parse_args(argv[1:]) == \
             without_command(cli.build_parser().parse_args(argv))
+        assert cli._read_flags(name, argv[1:]) == cli._parser_for(name).parse_args(argv[1:])
 
     def test_same_errors(self, name):
         for argv in invalid_argvs(name):
             assert parse_error(cli._parser_for(name), argv[1:]) == \
                 parse_error(cli.build_parser(), argv), argv
+            assert cli._read_flags(name, argv[1:]) is None, argv
 
     def test_same_help(self, capsys, name):
         helps = []
@@ -504,6 +509,50 @@ class TestOneSubcommandParser:
             helps.append(capsys.readouterr().out)
         assert helps[0] == helps[1]
         assert helps[0].startswith(f"usage: diagtorus {name} ")
+
+
+# values that argparse reads as values, as options, or not at all, and
+# values that a type or a choice rejects
+VALUES = ["1 2", "-1", "-1 2", "-1-2", "-h 2", "--x", "", "\u0661", "1", "x"]
+
+
+def argv_tokens(name):
+    """Argument lists for subcommand name: runs of its flags, each with a
+    value or alone, their abbreviations and --flag=value forms, '--', -h and
+    VALUES."""
+    flags = [flag for flag, _ in cli._declared(name)]
+    values = VALUES + [c for _, keywords in cli._declared(name)
+                       for c in keywords.get("choices", ())]
+    singles = flags + ["--", "-h", "--help"] + values
+    singles += [flag[:k] for flag in flags for k in (3, len(flag) - 1)]
+    singles += [f"{flag}={value}" for flag in flags for value in ("1", "-1", "")]
+    pair = st.tuples(st.sampled_from(flags), st.sampled_from(values)).map(list)
+    single = st.sampled_from(singles).map(lambda token: [token])
+    return st.lists(st.one_of(pair, pair, single), max_size=6).map(
+        lambda parts: [token for part in parts for token in part])
+
+
+def argparse_fields(name, argv):
+    """vars() of what the subcommand's parser returns for argv, or None when
+    it raises a usage error or exits with its help."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return vars(cli._parser_for(name).parse_args(argv))
+    except (argparse.ArgumentError, SystemExit):
+        return None
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_flag_table_answers_as_argparse(name, data):
+    argv = data.draw(argv_tokens(name))
+    expected = argparse_fields(name, argv)
+    table = cli._read_flags(name, argv)
+    if expected is None:
+        assert table is None
+    elif table is not None:
+        assert vars(table) == expected
 
 
 @pytest.fixture
@@ -526,6 +575,16 @@ class TestParserPerProcess:
             assert code == 0 and out.startswith("usage: diagtorus hnf ")
         # the one standalone parser, and no full parser around it
         assert parsers_built == ["diagtorus hnf"]
+
+    def test_only_help_and_errors_build_a_parser(self, capsys, parsers_built):
+        for name in cli._COMMANDS:
+            main(valid_argv(name))
+        assert parsers_built == []
+        for name in cli._COMMANDS:
+            assert main([name, "--help"]) == 0
+            assert main(valid_argv(name) + ["--bogus", "1"]) == 1
+        # one standalone parser for each subcommand's help and error runs
+        assert parsers_built == [f"diagtorus {name}" for name in cli._COMMANDS]
 
     def test_no_command_gets_the_full_parser(self, capsys, parsers_built):
         def usage_error(*argv):
