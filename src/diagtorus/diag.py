@@ -15,7 +15,7 @@ from math import gcd, prod
 
 from .errors import DimensionMismatch, NotPrimitive, ZeroVector
 from .intmat import IntMatrix, _witnessed_pass, invariant_factors, smith_normal_form
-from .lattice import RowLattice, equal, lattice_of, permuted_equal
+from .lattice import RowLattice, _match, equal, lattice_of
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,12 @@ def conjugate_in_gl(g1: DiagSubgroup, g2: DiagSubgroup):
 
     Conjugation by a monomial map permutes the coordinate characters, so the
     subgroups are conjugate exactly when a column permutation matches the
-    defining row lattices.
+    defining row lattices: permuted_equal, on the Hermite bases the lattices
+    already store.
     """
     if g1.ambient_dim != g2.ambient_dim:
         raise DimensionMismatch("subgroups live in different ambient tori")
-    return permuted_equal(g1.lattice.basis, g2.lattice.basis)
+    return _match(g1.lattice.basis, g2.lattice.basis)
 
 
 def conjugate_in_crn(g1: DiagSubgroup, g2: DiagSubgroup) -> bool:

@@ -39,10 +39,13 @@ BUDGETS = {
     # terms): at the figure the box takes about 7 s of pure Python and the
     # torsion count 18 s, as long as a desk-scale query should wait
     "work": 10**7,
-    # elements a listing holds at once: at about 0.5 kB each, 10**5 is 50 MB
+    # elements a listing holds at once: at about 0.5 kB each, 10**5 is 50 MB;
+    # it also caps the m C(n, m) entries of a maximal-minor colour table,
+    # past which the column search goes on without minor colours
     "list": 10**5,
     # partial assignments of the column permutation search: two random
-    # rank-6 lattices in Z^12 that it cannot split reach it in about 9 s
+    # saturated rank-8 lattices in Z^16, past the minor-colour cap and with
+    # every pair colour alike, reach it in about 5 s
     "nodes": 50_000,
 }
 

@@ -364,6 +364,13 @@ def _cached_laplace_table(n: int, k: int) -> tuple | None:
     return None
 
 
+def _minors_cost(m: int, n: int) -> tuple[int, int]:
+    """The cost units of _minors' two methods on m rows and n columns: the
+    Laplace expansions, sum_k k C(n, k) terms, and one Bareiss elimination
+    per minor, about C(n, m) (3 + m^3 / 7)."""
+    return sum(k * comb(n, k) for k in range(m + 1)), comb(n, m) * (3 + m ** 3 // 7)
+
+
 def _minors(rows, cols) -> dict[tuple[int, ...], int]:
     """Every len(rows)-square minor of rows on the columns cols, keyed by
     column tuples of cols in combinations order.
@@ -372,17 +379,16 @@ def _minors(rows, cols) -> dict[tuple[int, ...], int]:
     for the first k + 1: sum_k k C(n, k) terms, about 2^n as m nears n.  The
     minors of each row are a list in combinations order, the terms come
     from _laplace_table, which depends only on (n, k), and the dict is
-    keyed once at the end.  One Bareiss elimination per minor costs, in the
-    same units as measured, about C(n, m) (3 + m^3 / 7).  It serves instead
-    whenever that is no more, which never happens when 2m <= n.  It raises
-    TooLarge when the cheaper cost passes the work budget, so 6 x 30 (4.4e6
-    units) answers and 7 x 30 (1.9e7) does not; m 2^n bounds the Laplace
-    sum, so while that is within the budget the check is one comparison.
+    keyed once at the end.  One Bareiss elimination per minor serves
+    instead whenever it costs no more (_minors_cost, in the same units as
+    measured), which never happens when 2m <= n.  It raises TooLarge when
+    the cheaper cost passes the work budget, so 6 x 30 (4.4e6 units)
+    answers and 7 x 30 (1.9e7) does not; m 2^n bounds the Laplace sum, so
+    while that is within the budget the check is one comparison.
     """
     m, n = len(rows), len(cols)
     if 2 * m > n or m << n > BUDGETS["work"]:
-        laplace = sum(k * comb(n, k) for k in range(m + 1))
-        bareiss = comb(n, m) * (3 + m ** 3 // 7)
+        laplace, bareiss = _minors_cost(m, n)
         check_budget(min(laplace, bareiss), "work", "maximal minors exceed the computation budget")
         if laplace >= bareiss:
             return {s: _det([[row[j] for j in s] for row in rows])

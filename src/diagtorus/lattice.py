@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 
 from .errors import BUDGETS, DimensionMismatch, NotUnimodular, check_budget
 from .intmat import (
@@ -19,6 +19,7 @@ from .intmat import (
     _hermite_pass,
     _identity_lists,
     _minors,
+    _minors_cost,
     determinant,
     hermite_normal_form,
     invariant_factors,
@@ -152,29 +153,91 @@ def _pair_colours(h: IntMatrix) -> list[list[tuple[int, int]]]:
     return table
 
 
-def _refine(ta: list, tb: list):
+def _minor_colours(ha: IntMatrix, hb: IntMatrix):
+    """The nonzero maximal minors of two Hermite bases of rank m in Z^n, as
+    lists of (|p_I|, I), or None when their colour table, up to m C(n, m)
+    entries a side, would pass the listing budget, or computing them the
+    work budget.
+
+    Both figures are checked before any minor is computed, so a refinement
+    that uses them never raises TooLarge.
+    """
+    m, n = ha.rows, ha.cols
+    if m * comb(n, m) > BUDGETS["list"] or min(_minors_cost(m, n)) > BUDGETS["work"]:
+        return None
+    return tuple([(abs(p), s) for s, p in _minors(h.entries, range(n)).items() if p]
+                 for h in (ha, hb))
+
+
+def _refine(ta: list, tb: list, bases=None):
     """Joint colour refinement (1-dimensional Weisfeiler-Leman) of the
     columns of two pair-colour tables.
 
-    Columns start from their diagonal colour.  Each round recolours column j
-    by its colour and the sorted multiset of (pair colour, colour) over all
-    columns, with ids numbered from the signatures of both sides at once so
-    that they agree.  Returns the two lists of class ids once a round splits
-    no class, or None as soon as the signature multisets differ: then no
-    column permutation preserves the colours, let alone the lattices.
+    The pair colours of both tables are numbered together, and columns
+    start from the code of their diagonal colour.  Each round recolours
+    column j by its colour and the sorted codes of (colour of k, pair colour
+    of (j, k)) over all columns k, one integer each, with ids numbered from
+    the signatures of both sides at once so that they agree.  Returns None as
+    soon as the colour or signature multisets differ: then no column
+    permutation preserves the colours, let alone the lattices.  Otherwise
+    returns the two lists of class ids once every class is one column (no
+    further round can split it) or a round splits no class.
+
+    Given bases, the two Hermite bases the tables were read from, it adds
+    maximal-minor colours when a class of more than one column survives the
+    pair colours and _minor_colours stays within its budgets.  Then each round
+    also gives column j the sorted codes of (|p_I|, the sorted colours of
+    I's columns) over the nonzero maximal minors p_I with j in I.  That is
+    sound: two bases of one lattice differ by a unimodular T, so their
+    maximal minors differ by the one sign det T, and a column permutation
+    permutes the column sets I, each minor up to sign.  The zero minors
+    would add nothing, since the class sizes and j's own colour fix the
+    colours over all the I that contain j.  On a generic saturated lattice
+    of rank 2 or more every pair colour is (1, 1), and these colours are
+    what tells its columns apart.
     """
-    ca = [row[j] for j, row in enumerate(ta)]
-    cb = [row[j] for j, row in enumerate(tb)]
-    while True:
-        sa = [(c, tuple(sorted(zip(row, ca)))) for c, row in zip(ca, ta)]
-        sb = [(c, tuple(sorted(zip(row, cb)))) for c, row in zip(cb, tb)]
-        if sorted(sa) != sorted(sb):
+    codes: dict = {}
+    ia = [[codes.setdefault(x, len(codes)) for x in row] for row in ta]
+    ib = [[codes.setdefault(x, len(codes)) for x in row] for row in tb]
+    width = len(codes)
+    ca = [row[j] for j, row in enumerate(ia)]
+    cb = [row[j] for j, row in enumerate(ib)]
+    if sorted(ca) != sorted(cb):
+        return None
+    n, count = len(ca), len(set(ca))
+    minors = (None, None)
+
+    def signatures(table, colour, hyper, keys):
+        sigs = [sorted([c * width + x for c, x in zip(colour, row)]) + [c]
+                for c, row in zip(colour, table)]
+        if hyper is not None:
+            per: list[list[int]] = [[] for _ in colour]
+            for p, s in hyper:
+                key = keys.setdefault((p, *sorted([colour[i] for i in s])), len(keys))
+                for i in s:
+                    per[i].append(key)
+            for sig, keyed in zip(sigs, per):
+                sig += sorted(keyed)
+        return [tuple(sig) for sig in sigs]
+
+    while count < n:
+        keys: dict = {}
+        sa = signatures(ia, ca, minors[0], keys)
+        sb = signatures(ib, cb, minors[1], keys)
+        ids: dict = {}
+        ca = [ids.setdefault(s, len(ids)) for s in sa]
+        cb = [ids.get(s, -1) for s in sb]
+        if sorted(ca) != sorted(cb):
             return None
-        ids = {s: i for i, s in enumerate(sorted(set(sa)))}
-        if len(ids) == len(set(ca)):
-            return ca, cb
-        ca = [ids[s] for s in sa]
-        cb = [ids[s] for s in sb]
+        if len(ids) == count:  # the round split no class
+            if bases is None:
+                break
+            found, bases = _minor_colours(*bases), None
+            if found is None:
+                break
+            minors = found
+        count = len(ids)
+    return ca, cb
 
 
 def _swap_closed(h: IntMatrix, k: int, l: int, d: int) -> bool:
@@ -195,23 +258,37 @@ def permuted_equal(a: IntMatrix, b: IntMatrix):
 
     Returns the lexicographically least 0-based permutation p such that the
     matrix with columns (b[:, p[0]], ..., b[:, p[n-1]]) spans the same row
-    lattice as a, or None.
+    lattice as a, or None.  It is _match on the two Hermite bases.
+    """
+    return _match(hermite_normal_form(a), hermite_normal_form(b))
+
+
+_NODES_MESSAGE = "column permutation search exceeds its node budget"
+
+
+def _match(ha: IntMatrix, hb: IntMatrix):
+    """permuted_equal on the Hermite bases ha and hb of the two lattices.
 
     A matching permutation preserves the pair colours of the Hermite bases
     (_pair_colours), so it maps each class of their joint colour refinement
-    (_refine) onto the class of the same id; when the refinement tells the
-    two sides apart the answer is None without a search.  Backtracking then
-    assigns columns in order, each position only from its class.  A
-    permutation that matches the lattices also matches their right kernels
-    and, with e the largest invariant factor, their annihilators mod e; and
-    it matches the projections of all three onto any set of columns.  So a
-    partial assignment p[:j] must carry the three projections of b onto
-    those of a on the first j columns, and pruning never skips the
-    lex-least answer.  The kernel prunes where the row lattice projects
-    onto all of Z^j (rank n - 1), the annihilator where a full-rank
-    sublattice of index > 1 does.  The number of candidates at each
-    position is fixed by the classes, and past the last position with more
-    than one, the rest of the path is forced: those prefixes are not
+    (_refine, with maximal-minor colours when the pair colours leave a class
+    of more than one column) onto the class of the same id; when the
+    refinement tells the two sides apart the answer is None without a
+    search.  When every class is one column, the permutation is forced: it
+    counts its n assignments against the node budget, and one Hermite pass
+    on b's permuted columns is compared with ha itself.
+
+    Otherwise backtracking assigns columns in order, each position only from
+    its class.  A permutation that matches the lattices also matches their
+    right kernels and, with e the largest invariant factor, their
+    annihilators mod e; and it matches the projections of all three onto
+    any set of columns.  So a partial assignment p[:j] must carry the three
+    projections of b onto those of a on the first j columns, and pruning
+    never skips the lex-least answer.  The kernel prunes where the row
+    lattice projects onto all of Z^j (rank n - 1), the annihilator where a
+    full-rank sublattice of index > 1 does.  The number of candidates at
+    each position is fixed by the classes, and past the last position with
+    more than one, the rest of the path is forced: those prefixes are not
     checked, and at depth n the row lattices are compared, which is lattice
     equality itself.  The a-side projections are computed when the search
     first reaches their depth.
@@ -222,14 +299,12 @@ def permuted_equal(a: IntMatrix, b: IntMatrix):
     Past its node budget, 50,000 partial assignments, it raises TooLarge.  It
     can still get there on a large class that refinement cannot split, whose
     symmetries are not column swaps and whose prefix projections agree deep
-    into the order: generic lattices of rank about n/2 whose pair colours
-    are all alike, from about n = 12.
+    into the order, when the minor colours are over their budget or cannot
+    split it either.
     """
-    if a.cols != b.cols:
+    if ha.cols != hb.cols:
         raise DimensionMismatch("operands must have the same column count")
-    n = a.cols
-    ha = hermite_normal_form(a)
-    hb = hermite_normal_form(b)
+    n = ha.cols
     if ha == hb:
         return tuple(range(n))  # the identity comes first in lex order
     if ha.rows != hb.rows:
@@ -238,10 +313,16 @@ def permuted_equal(a: IntMatrix, b: IntMatrix):
     if factors != invariant_factors(hb):
         return None
     colours = _pair_colours(hb)
-    classes = _refine(_pair_colours(ha), colours)
+    classes = _refine(_pair_colours(ha), colours, (ha, hb))
     if classes is None:
         return None
     ca, cb = classes
+    rows = [list(row) for row in ha.entries]
+    if len(set(ca)) == n:
+        check_budget(n, "nodes", _NODES_MESSAGE)
+        at = dict(zip(cb, range(n)))
+        perm = [at[c] for c in ca]
+        return tuple(perm) if _projection(hb.entries, perm) == rows else None
     left = Counter(cb)
     last = 0  # the last position with more than one candidate
     for j, c in enumerate(ca):
@@ -255,6 +336,7 @@ def permuted_equal(a: IntMatrix, b: IntMatrix):
         if e > 1:
             pairs.append((_annihilator_rows(ha, e), _annihilator_rows(hb, e)))
     wants: list[list] = [[None] * (n + 1) for _ in pairs]
+    wants[0][n] = rows
     swaps: dict[tuple[int, int], bool] = {}
     perm: list[int] = []
     used = [False] * n
@@ -284,7 +366,7 @@ def permuted_equal(a: IntMatrix, b: IntMatrix):
                 continue
             nodes += 1
             if nodes > limit:
-                check_budget(nodes, "nodes", "column permutation search exceeds its node budget")
+                check_budget(nodes, "nodes", _NODES_MESSAGE)
             perm.append(k)
             if j >= last or fits(j + 1, pairs):
                 used[k] = True

@@ -74,9 +74,10 @@ def monomial_normalizer(weights):
 
     For each sign the group is built level by level, with no search: level
     j extends every prefix sigma(1..j-1) by each unused k with
-    l_k = eps * l_j.  For a sign in the group, the positions of each weight
-    x and the targets of eps * x are equally many, so every prefix extends
-    to a whole element and no level is larger than the group.  Its order is
+    l_k = eps * l_j, read from one map of each weight to its positions.  For
+    a sign in the group, the positions of each weight x and the targets of
+    eps * x are equally many, so every prefix extends to a whole element and
+    no level is larger than the group.  Its order, from the same map, is
     checked first, multiplied only until it passes the listing budget, and a
     group of more than 10**5 elements raises TooLarge.
     """
@@ -84,14 +85,17 @@ def monomial_normalizer(weights):
     # a sign-reversing element exists iff l and -l agree up to permutation;
     # on the 0-dimensional torus inversion is the identity, not a second one
     signs = (1, -1) if weights and sorted(weights) == sorted(-x for x in weights) else (1,)
+    where: dict[int, list[int]] = {}  # each weight's positions
+    for k, x in enumerate(weights):
+        where.setdefault(x, []).append(k)
     # the order, len(signs) times the factorial of each weight's multiplicity
-    check_product(chain([len(signs)], *(range(2, weights.count(x) + 1) for x in set(weights))),
+    check_product(chain([len(signs)], *(range(2, len(ks) + 1) for ks in where.values())),
                   "list", "normalizer has more than {budget} elements, the listing budget")
     out = []
     for eps in signs:
         level = [()]
         for x in weights:
-            fits = [k for k, y in enumerate(weights) if y == eps * x]
+            fits = where.get(eps * x, ())
             level = [p + (k,) for p in level for k in fits if k not in p]
         out += [(sigma, eps) for sigma in level]
     # each sign's list is already sorted, and only the zero vector lists a

@@ -1,13 +1,18 @@
+import json
 import random
 import time
+from collections import Counter
 from itertools import combinations, permutations
 from math import gcd
 
 import pytest
 
-from diagtorus import errors, lattice
+from conftest import deadline
+from diagtorus import errors, intmat, lattice
 from diagtorus import (
+    DiagSubgroup,
     IntMatrix,
+    conjugate_in_gl,
     contains,
     equal,
     lattice_of,
@@ -18,7 +23,7 @@ from diagtorus import (
 )
 from diagtorus.cli import main
 from diagtorus.errors import DimensionMismatch, NotUnimodular, RankDeficient, TooLarge
-from diagtorus.intmat import hermite_normal_form, invariant_factors
+from diagtorus.intmat import _minors, hermite_normal_form, invariant_factors
 from diagtorus.oracle import lattice_equal_bounded
 
 
@@ -554,3 +559,127 @@ class TestPermutedEqualCost:
                            IntMatrix.from_rows([[1] * 6, [7, 4, 3, 2, 1, 0]]))
         assert main(["conjugate", "--group", "gln", "--a", a, "--b", b]) == 2
         assert '"error":"TooLarge"' in capsys.readouterr().out
+
+
+def _saturated_with_plain_colours(rng, m, n):
+    """Hermite basis of a random saturated rank-m lattice in Z^n, entries
+    +-9, drawn until every column gcd is 1 and every pair colour (1, 1):
+    nothing the pair colours can split."""
+    plain = [[(0, 2) if j == k else (1, 1) for k in range(n)] for j in range(n)]
+    while True:
+        h = hermite_normal_form(_mat([[rng.randint(-9, 9) for _ in range(n)]
+                                      for _ in range(m)], n))
+        if h.rows == m and invariant_factors(h) == (1,) * m and \
+                lattice._pair_colours(h) == plain:
+            return h
+
+
+def _text(h):
+    return "; ".join(" ".join(map(str, row)) for row in h.entries)
+
+
+class TestMinorColours:
+    @pytest.mark.parametrize("seed", [5, 7, 8])
+    def test_generic_rank_6_lattices_in_z12(self, seed, capsys):
+        # every pair colour is (1, 1) and every prefix of up to six columns
+        # projects onto all of Z^j, so only the maximal-minor colours tell
+        # the columns apart.  The copy's last column is a's first, so a
+        # search in one class of twelve would first try every arrangement
+        # of six columns after each of the other eleven.
+        rng = random.Random(seed)
+        a, b = (_saturated_with_plain_colours(rng, 6, 12) for _ in range(2))
+        s = rng.sample(range(1, 12), 11) + [0]
+        c = _permuted(a.entries, s, 12)
+        want = tuple(s.index(j) for j in range(12))
+        with deadline():
+            assert permuted_equal(a, b) is None
+        with deadline():
+            assert permuted_equal(a, c) == want
+            assert main(["conjugate", "--group", "gln", "--a", _text(a), "--b", _text(c)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["witness"]["permutation"] == [k + 1 for k in want]
+
+    def test_minor_colours_are_sound(self):
+        # small pairs that the pair colours leave with a class of more than
+        # one column; the minor colours split most of them, and every answer
+        # is the brute-force one and keeps each |p_I|
+        rng = random.Random(67)
+        seen = split = 0
+        for t in range(400):
+            n = rng.randint(3, 6)
+            if t % 2:
+                v = [1] + [rng.randint(-3, 3) for _ in range(n - 1)]
+                w = [1] + rng.sample(v[1:], n - 1)
+                if rng.random() < 0.5:
+                    w[rng.randrange(1, n)] += rng.choice((-1, 1))
+                a, b = _kernel_of_weights(v), _shuffled(rng, _kernel_of_weights(w), n)
+            else:
+                m = rng.choice((n // 2, (n + 1) // 2))
+                a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+                b = _shuffled(rng, a, n)
+                if rng.random() < 0.5:
+                    b[rng.randrange(m)][rng.randrange(n)] += rng.choice((-1, 1))
+            ha, hb = hermite_normal_form(_mat(a, n)), hermite_normal_form(_mat(b, n))
+            if ha.rows != hb.rows or invariant_factors(ha) != invariant_factors(hb):
+                continue
+            ta, tb = lattice._pair_colours(ha), lattice._pair_colours(hb)
+            pair = lattice._refine(ta, tb)
+            if pair is None or len(set(pair[0])) == n:
+                continue
+            seen += 1
+            both = lattice._refine(ta, tb, (ha, hb))
+            split += both is None or len(set(both[0])) > len(set(pair[0]))
+            a, b = _mat(a, n), _mat(b, n)
+            p = permuted_equal(a, b)
+            assert p == lex_least_permutation(a, b), (a, b)
+            if p is not None:
+                pa, pb = _minors(ha.entries, range(n)), _minors(hb.entries, range(n))
+                assert all(abs(x) == abs(pb[tuple(sorted(p[i] for i in s))])
+                           for s, x in pa.items()), (a, b)
+        assert seen >= 150 and split >= 100
+
+    def test_minor_colours_stay_within_their_budget(self, monkeypatch):
+        # the colour table is m C(n, m) entries a side; past the listing
+        # budget the pair classes stand and the search answers
+        calls = Counter()
+        minors = lattice._minors
+
+        def counted(*args):
+            calls["_minors"] += 1
+            return minors(*args)
+
+        monkeypatch.setattr(lattice, "_minors", counted)
+        v, w = [1, 2, 2, 3, 3], [1, 3, 2, 3, 2]
+        a, b = _mat(_kernel_of_weights(v), 5), _mat(_kernel_of_weights(w), 5)
+        want = lex_least_permutation(a, b)
+        assert permuted_equal(a, b) == want and calls["_minors"] == 2
+        monkeypatch.setitem(errors.BUDGETS, "list", 4 * 5 - 1)
+        assert permuted_equal(a, b) == want and calls["_minors"] == 2
+
+
+def test_a_discrete_refinement_checks_one_leaf(monkeypatch):
+    # conjugate_in_gl hands the stored Hermite bases to the search, and a
+    # refinement that pins every column leaves one Hermite pass: b's
+    # permuted columns, compared with a's basis.  The second pair is b with
+    # a column negated, which keeps every colour, so that pass answers None.
+    match = [[1] * 6, [0, 1, 2, 3, 4, 7]]
+    miss = [[0, -2, 1, -1, -2, -1], [-2, -1, 1, 2, 1, -1]]
+    calls = Counter()
+    for a, b in [(match, _shuffled(random.Random(71), match, 6)),
+                 (miss, [[-row[0]] + row[1:] for row in miss])]:
+        g1, g2 = DiagSubgroup.from_matrix(_mat(a, 6)), DiagSubgroup.from_matrix(_mat(b, 6))
+        ha, hb = g1.lattice.basis, g2.lattice.basis
+        classes = lattice._refine(lattice._pair_colours(ha), lattice._pair_colours(hb))
+        assert classes is not None and len(set(classes[0])) == 6
+        want = lex_least_permutation(_mat(a, 6), _mat(b, 6))
+        with monkeypatch.context() as patch:
+            for module, name in [(lattice, "hermite_normal_form"), (intmat, "hermite_normal_form"),
+                                 (lattice, "_projection"), (lattice, "_annihilator_rows")]:
+                def counted(*args, fn=getattr(module, name), name=name):
+                    calls[name] += 1
+                    return fn(*args)
+                patch.setattr(module, name, counted)
+            assert conjugate_in_gl(g1, g2) == want
+        assert calls == {"_projection": 1}, (a, calls)
+        calls.clear()
+    assert want is None

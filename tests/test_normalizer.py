@@ -108,6 +108,15 @@ class TestMonomialNormalizer:
         assert monomial_normalizer(()) == (((), 1),)
         assert normalizer_report(()).perm_order == 1
 
+    def test_ten_thousand_distinct_weights(self):
+        # one element; each level reads its one target from a map of the
+        # weights to their positions, where a scan of every position took
+        # about 7 s
+        n = 10_000
+        with deadline():
+            group = monomial_normalizer(range(1, n + 1))
+        assert group == ((tuple(range(n)), 1),)
+
     def test_swap_with_sign(self):
         out = monomial_normalizer((1, -1))
         assert out == (((0, 1), 1), ((1, 0), -1))
