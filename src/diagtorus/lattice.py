@@ -274,11 +274,9 @@ def _match(ha: IntMatrix, hb: IntMatrix):
     (_refine, with maximal-minor colours when the pair colours leave a class
     of more than one column) onto the class of the same id; when the
     refinement tells the two sides apart the answer is None without a
-    search.  When every class is one column, the permutation is forced: it
-    counts its n assignments against the node budget, and one Hermite pass
-    on b's permuted columns is compared with ha itself.
+    search.
 
-    Otherwise backtracking assigns columns in order, each position only from
+    Backtracking assigns columns in order, each position only from
     its class.  A permutation that matches the lattices also matches their
     right kernels and, with e the largest invariant factor, their
     annihilators mod e; and it matches the projections of all three onto
@@ -290,7 +288,10 @@ def _match(ha: IntMatrix, hb: IntMatrix):
     each position is fixed by the classes, and past the last position with
     more than one, the rest of the path is forced: those prefixes are not
     checked, and at depth n the row lattices are compared, which is lattice
-    equality itself.  The a-side projections are computed when the search
+    equality itself: one Hermite pass on b's permuted columns against ha's
+    own rows.  So when every class is one column, the path is forced, no
+    prefix or annihilator is computed, and its n assignments make one
+    comparison.  The a-side projections are computed when the search
     first reaches their depth.
 
     Columns k < l of b whose swap fixes the lattice of b lead to the same
@@ -317,12 +318,6 @@ def _match(ha: IntMatrix, hb: IntMatrix):
     if classes is None:
         return None
     ca, cb = classes
-    rows = [list(row) for row in ha.entries]
-    if len(set(ca)) == n:
-        check_budget(n, "nodes", _NODES_MESSAGE)
-        at = dict(zip(cb, range(n)))
-        perm = [at[c] for c in ca]
-        return tuple(perm) if _projection(hb.entries, perm) == rows else None
     left = Counter(cb)
     last = 0  # the last position with more than one candidate
     for j, c in enumerate(ca):
@@ -336,7 +331,7 @@ def _match(ha: IntMatrix, hb: IntMatrix):
         if e > 1:
             pairs.append((_annihilator_rows(ha, e), _annihilator_rows(hb, e)))
     wants: list[list] = [[None] * (n + 1) for _ in pairs]
-    wants[0][n] = rows
+    wants[0][n] = [list(row) for row in ha.entries]
     swaps: dict[tuple[int, int], bool] = {}
     perm: list[int] = []
     used = [False] * n

@@ -74,7 +74,10 @@ def monomial_normalizer(weights):
 
     For each sign the group is built level by level, with no search: level
     j extends every prefix sigma(1..j-1) by each unused k with
-    l_k = eps * l_j, read from one map of each weight to its positions.  For
+    l_k = eps * l_j, read from one map of each weight to its positions; a
+    run of weights with one position each, whose images are fixed, extends
+    every prefix at once, so prefixes are copied only around the repeated
+    weights, which the budget keeps to a few dozen positions.  For
     a sign in the group, the positions of each weight x and the targets of
     eps * x are equally many, so every prefix extends to a whole element and
     no level is larger than the group.  Its order, from the same map, is
@@ -93,11 +96,18 @@ def monomial_normalizer(weights):
                   "list", "normalizer has more than {budget} elements, the listing budget")
     out = []
     for eps in signs:
-        level = [()]
+        level, run = [()], []
         for x in weights:
             fits = where.get(eps * x, ())
+            if len(fits) == 1:  # a weight with one position has one image
+                run.append(fits[0])
+                continue
+            if run:
+                tail, run = tuple(run), []
+                level = [p + tail for p in level]
             level = [p + (k,) for p in level for k in fits if k not in p]
-        out += [(sigma, eps) for sigma in level]
+        tail = tuple(run)
+        out += [(sigma + tail, eps) for sigma in level]
     # each sign's list is already sorted, and only the zero vector lists a
     # sigma under both; the stable sort merges them with eps = 1 first
     return tuple(sorted(out, key=operator.itemgetter(0)))
