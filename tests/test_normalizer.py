@@ -109,10 +109,9 @@ class TestMonomialNormalizer:
         assert normalizer_report(()).perm_order == 1
 
     def test_ten_thousand_distinct_weights(self):
-        # one element; the weights read their one target each from a map
-        # of the weights to their positions, and extend the one prefix at
-        # once, where a scan of every position took about 7 s and a copy of
-        # the prefix at each weight about 1 s
+        # one element; each weight reads its one target from a map of the
+        # weights to their positions, and the run of unrepeated weights
+        # extends the prefix at once, so the time is linear in n
         n = 10_000
         with deadline():
             group = monomial_normalizer(range(1, n + 1))
