@@ -39,13 +39,11 @@ BUDGETS = {
     # terms): at the figure the box takes about 7 s of pure Python and the
     # torsion count 18 s, as long as a desk-scale query should wait
     "work": 10**7,
-    # elements a listing holds at once: at about 0.5 kB each, 10**5 is 50 MB;
-    # it also caps the m C(n, m) entries of a maximal-minor colour table,
-    # past which the column search goes on without minor colours
+    # elements a listing holds at once: at about 0.5 kB each, 10**5 is 50 MB
     "list": 10**5,
-    # partial assignments of the column permutation search: two random
-    # saturated rank-8 lattices in Z^16, past the minor-colour cap and with
-    # every pair colour alike, reach it in about 5 s
+    # partial assignments of the column permutation search: each compares
+    # up to three projections, about 0.1 ms on full-rank lattices in Z^9 to
+    # Z^13, so the budget stops a search within seconds
     "nodes": 50_000,
 }
 

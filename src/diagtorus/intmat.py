@@ -364,6 +364,7 @@ def _cached_laplace_table(n: int, k: int) -> tuple | None:
     return None
 
 
+@lru_cache(maxsize=None)
 def _minors_cost(m: int, n: int) -> tuple[int, int]:
     """The cost units of _minors' two methods on m rows and n columns: the
     Laplace expansions, sum_k k C(n, k) terms, and one Bareiss elimination

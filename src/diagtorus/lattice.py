@@ -11,15 +11,15 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from math import comb, gcd
+from math import gcd
 
 from .errors import BUDGETS, DimensionMismatch, NotUnimodular, check_budget
 from .intmat import (
     IntMatrix,
+    _det,
     _hermite_pass,
     _identity_lists,
     _minors,
-    _minors_cost,
     determinant,
     hermite_normal_form,
     invariant_factors,
@@ -153,23 +153,51 @@ def _pair_colours(h: IntMatrix) -> list[list[tuple[int, int]]]:
     return table
 
 
-def _minor_colours(ha: IntMatrix, hb: IntMatrix):
-    """The nonzero maximal minors of two Hermite bases of rank m in Z^n, as
-    lists of (|p_I|, I), or None when their colour table, up to m C(n, m)
-    entries a side, would pass the listing budget, or computing them the
-    work budget.
+def _gram(h: IntMatrix) -> list[list[int]]:
+    """G = h h^T for the basis h.  Unimodular row changes and column
+    permutations keep det(G), the squared covolume of the lattice in its
+    real span; a sublattice of index k multiplies it by k^2."""
+    return [[sum(map(operator.mul, r, s)) for s in h.entries] for r in h.entries]
 
-    Both figures are checked before any minor is computed, so a refinement
-    that uses them never raises TooLarge.
+
+def _projection_matrix(h: IntMatrix) -> list[list[int]]:
+    """Q = h^T adj(G) h = det(G) P for the basis h, G = _gram(h) and P the
+    orthogonal projection onto the row space.
+
+    Another basis T h, T unimodular, gives det(T)^2 Q = Q, and a column
+    permutation conjugates Q by its matrix, so each Q_jk is a colour of the
+    pair of columns (j, k).  By Cauchy-Binet Q_jj is the sum of p_I^2 over
+    the maximal minors p_I with j in I.  One fraction-free Gauss-Jordan
+    elimination (Bareiss) on [G | h] leaves det(G) I beside adj(G) h; its
+    pivots are the leading principal minors of the positive definite G, so
+    no pivot search is needed.
     """
-    m, n = ha.rows, ha.cols
-    if m * comb(n, m) > BUDGETS["list"] or min(_minors_cost(m, n)) > BUDGETS["work"]:
-        return None
-    return tuple([(abs(p), s) for s, p in _minors(h.entries, range(n)).items() if p]
-                 for h in (ha, hb))
+    work = [g + list(r) for g, r in zip(_gram(h), h.entries)]
+    prev = 1
+    for k, pivot in enumerate(work):
+        p = pivot[k]
+        for i, row in enumerate(work):
+            if i != k:
+                f = row[k]
+                row[k + 1:] = [(x * p - f * y) // prev
+                               for x, y in zip(row[k + 1:], pivot[k + 1:])]
+        prev = p
+    adj = list(zip(*[row[h.rows:] for row in work]))
+    return [[sum(map(operator.mul, x, y)) for y in adj] for x in zip(*h.entries)]
 
 
-def _refine(ta: list, tb: list, bases=None):
+def _with_projection(table: list, h: IntMatrix, classes: list[int]) -> list:
+    """The pair-colour table of h with each entry extended by Q_jk
+    (_projection_matrix), and each diagonal entry also by the column's
+    class, so that a refinement of the new table starts from those
+    classes."""
+    out = [list(zip(row, q)) for row, q in zip(table, _projection_matrix(h))]
+    for j, c in enumerate(classes):
+        out[j][j] += (c,)
+    return out
+
+
+def _refine(ta: list, tb: list):
     """Joint colour refinement (1-dimensional Weisfeiler-Leman) of the
     columns of two pair-colour tables.
 
@@ -182,19 +210,6 @@ def _refine(ta: list, tb: list, bases=None):
     permutation preserves the colours, let alone the lattices.  Otherwise
     returns the two lists of class ids once every class is one column (no
     further round can split it) or a round splits no class.
-
-    Given bases, the two Hermite bases the tables were read from, it adds
-    maximal-minor colours when a class of more than one column survives the
-    pair colours and _minor_colours stays within its budgets.  Then each round
-    also gives column j the sorted codes of (|p_I|, the sorted colours of
-    I's columns) over the nonzero maximal minors p_I with j in I.  That is
-    sound: two bases of one lattice differ by a unimodular T, so their
-    maximal minors differ by the one sign det T, and a column permutation
-    permutes the column sets I, each minor up to sign.  The zero minors
-    would add nothing, since the class sizes and j's own colour fix the
-    colours over all the I that contain j.  On a generic saturated lattice
-    of rank 2 or more every pair colour is (1, 1), and these colours are
-    what tells its columns apart.
     """
     codes: dict = {}
     ia = [[codes.setdefault(x, len(codes)) for x in row] for row in ta]
@@ -205,37 +220,19 @@ def _refine(ta: list, tb: list, bases=None):
     if sorted(ca) != sorted(cb):
         return None
     n, count = len(ca), len(set(ca))
-    minors = (None, None)
 
-    def signatures(table, colour, hyper, keys):
-        sigs = [sorted([c * width + x for c, x in zip(colour, row)]) + [c]
+    def signatures(table, colour):
+        return [(*sorted([c * width + x for c, x in zip(colour, row)]), c)
                 for c, row in zip(colour, table)]
-        if hyper is not None:
-            per: list[list[int]] = [[] for _ in colour]
-            for p, s in hyper:
-                key = keys.setdefault((p, *sorted([colour[i] for i in s])), len(keys))
-                for i in s:
-                    per[i].append(key)
-            for sig, keyed in zip(sigs, per):
-                sig += sorted(keyed)
-        return [tuple(sig) for sig in sigs]
 
     while count < n:
-        keys: dict = {}
-        sa = signatures(ia, ca, minors[0], keys)
-        sb = signatures(ib, cb, minors[1], keys)
         ids: dict = {}
-        ca = [ids.setdefault(s, len(ids)) for s in sa]
-        cb = [ids.get(s, -1) for s in sb]
+        ca = [ids.setdefault(s, len(ids)) for s in signatures(ia, ca)]
+        cb = [ids.get(s, -1) for s in signatures(ib, cb)]
         if sorted(ca) != sorted(cb):
             return None
         if len(ids) == count:  # the round split no class
-            if bases is None:
-                break
-            found, bases = _minor_colours(*bases), None
-            if found is None:
-                break
-            minors = found
+            break
         count = len(ids)
     return ca, cb
 
@@ -269,18 +266,19 @@ _NODES_MESSAGE = "column permutation search exceeds its node budget"
 def _match(ha: IntMatrix, hb: IntMatrix):
     """permuted_equal on the Hermite bases ha and hb of the two lattices.
 
-    A matching permutation preserves the pair colours of the Hermite bases
-    (_pair_colours), so it maps each class of their joint colour refinement
-    (_refine, with maximal-minor colours when the pair colours leave a class
-    of more than one column) onto the class of the same id; when the
-    refinement tells the two sides apart the answer is None without a
+    A matching permutation keeps the rank and det(G) (_gram), and it maps
+    each class of the joint colour refinement (_refine) of the pair colours
+    (_pair_colours) onto the class of the same id; a class of more than one
+    column is refined further with Q = det(G) P (_with_projection).  When
+    any of these tells the two sides apart, the answer is None without a
     search.
 
     Backtracking assigns columns in order, each position only from
     its class.  A permutation that matches the lattices also matches their
-    right kernels and, with e the largest invariant factor, their
-    annihilators mod e; and it matches the projections of all three onto
-    any set of columns.  So a partial assignment p[:j] must carry the three
+    invariant factors, their right kernels and, with e the largest
+    invariant factor, their annihilators mod e; and it matches the
+    projections of lattice, kernel and annihilator onto any set of
+    columns.  So a partial assignment p[:j] must carry the three
     projections of b onto those of a on the first j columns, and pruning
     never skips the lex-least answer.  The kernel prunes where the row
     lattice projects onto all of Z^j (rank n - 1), the annihilator where a
@@ -289,10 +287,10 @@ def _match(ha: IntMatrix, hb: IntMatrix):
     more than one, the rest of the path is forced: those prefixes are not
     checked, and at depth n the row lattices are compared, which is lattice
     equality itself: one Hermite pass on b's permuted columns against ha's
-    own rows.  So when every class is one column, the path is forced, no
-    prefix or annihilator is computed, and its n assignments make one
-    comparison.  The a-side projections are computed when the search
-    first reaches their depth.
+    own rows.  Only a search that checks prefixes computes the invariant
+    factors, kernels and annihilators; when every class is one column the
+    path is forced and its n assignments make one comparison.  The a-side
+    projections are computed when the search first reaches their depth.
 
     Columns k < l of b whose swap fixes the lattice of b lead to the same
     answers up to that swap, so once k has failed at a position, l is not
@@ -300,21 +298,20 @@ def _match(ha: IntMatrix, hb: IntMatrix):
     Past its node budget, 50,000 partial assignments, it raises TooLarge.  It
     can still get there on a large class that refinement cannot split, whose
     symmetries are not column swaps and whose prefix projections agree deep
-    into the order, when the minor colours are over their budget or cannot
-    split it either.
+    into the order.
     """
     if ha.cols != hb.cols:
         raise DimensionMismatch("operands must have the same column count")
     n = ha.cols
     if ha == hb:
         return tuple(range(n))  # the identity comes first in lex order
-    if ha.rows != hb.rows:
+    if ha.rows != hb.rows or _det(_gram(ha)) != _det(_gram(hb)):
         return None
-    factors = invariant_factors(ha)
-    if factors != invariant_factors(hb):
-        return None
-    colours = _pair_colours(hb)
-    classes = _refine(_pair_colours(ha), colours, (ha, hb))
+    ta, colours = _pair_colours(ha), _pair_colours(hb)
+    classes = _refine(ta, colours)
+    if classes is not None and len(set(classes[0])) < n:
+        classes = _refine(_with_projection(ta, ha, classes[0]),
+                          _with_projection(colours, hb, classes[1]))
     if classes is None:
         return None
     ca, cb = classes
@@ -326,6 +323,9 @@ def _match(ha: IntMatrix, hb: IntMatrix):
         left[c] -= 1
     pairs = [(ha.entries, hb.entries)]
     if last:
+        factors = invariant_factors(ha)
+        if factors != invariant_factors(hb):
+            return None
         pairs.append((_annihilator_rows(ha, 0), _annihilator_rows(hb, 0)))
         e = max(factors, default=0)
         if e > 1:

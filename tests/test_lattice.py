@@ -406,6 +406,39 @@ def _colour_graph(nx, h):
     return g
 
 
+def _negated_column_pairs():
+    # 4,000 pairs (n, a, b) with b a with its columns shuffled and one of
+    # them negated, n = 2..6, rank up to 3 and entries -2..2
+    rng = random.Random(53)
+    for _ in range(4000):
+        n = rng.randint(2, 6)
+        m = rng.randint(1, min(3, n))
+        a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        b = _shuffled(rng, a, n)
+        k = rng.randrange(n)
+        for row in b:
+            row[k] = -row[k]
+        yield n, a, b
+
+
+def _perturbed_pairs():
+    # 600 pairs (n, a, b) with b a shuffled copy of a, then either one entry
+    # moved by 1 or, half of the other times, one column negated
+    rng = random.Random(59)
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        m = rng.randint(0, min(3, n))
+        a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        b = _shuffled(rng, a, n)
+        if m and rng.random() < 0.5:
+            b[rng.randrange(m)][rng.randrange(n)] += rng.choice((-1, 1))
+        elif rng.random() < 0.5:
+            k = rng.randrange(n)
+            for row in b:
+                row[k] = -row[k]
+        yield n, a, b
+
+
 class TestColumnRefinement:
     def test_distinct_values_against_brute_force(self):
         # [1 ... 1; v] with distinct v: the pair colours are |v_j - v_k| and
@@ -452,16 +485,8 @@ class TestColumnRefinement:
         # one column of b while the lattices differ.  Then every position has
         # one candidate, no prefix is checked, and only the comparison at
         # depth n can answer None.
-        rng = random.Random(53)
         misses = 0
-        for _ in range(4000):
-            n = rng.randint(2, 6)
-            m = rng.randint(1, min(3, n))
-            a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
-            b = _shuffled(rng, a, n)
-            k = rng.randrange(n)
-            for row in b:
-                row[k] = -row[k]
+        for n, a, b in _negated_column_pairs():
             ha, hb = hermite_normal_form(_mat(a, n)), hermite_normal_form(_mat(b, n))
             if ha.rows != hb.rows or invariant_factors(ha) != invariant_factors(hb):
                 continue
@@ -485,19 +510,8 @@ class TestColumnRefinement:
         iso = nx.algorithms.isomorphism
         node_match = iso.categorical_node_match("gcd", None)
         edge_match = iso.categorical_edge_match("colour", None)
-        rng = random.Random(59)
         told_apart = 0
-        for _ in range(600):
-            n = rng.randint(1, 6)
-            m = rng.randint(0, min(3, n))
-            a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
-            b = _shuffled(rng, a, n)
-            if m and rng.random() < 0.5:
-                b[rng.randrange(m)][rng.randrange(n)] += rng.choice((-1, 1))
-            elif rng.random() < 0.5:
-                k = rng.randrange(n)
-                for row in b:
-                    row[k] = -row[k]
+        for n, a, b in _perturbed_pairs():
             ha, hb = hermite_normal_form(_mat(a, n)), hermite_normal_form(_mat(b, n))
             ga, gb = _colour_graph(nx, ha), _colour_graph(nx, hb)
             if lattice._refine(lattice._pair_colours(ha), lattice._pair_colours(hb)) is None:
@@ -513,6 +527,13 @@ class TestColumnRefinement:
         assert told_apart >= 20
 
 
+def _gram_det(rows, n=None):
+    """det(h h^T) for the Hermite basis h of the lattice spanned by rows."""
+    h = hermite_normal_form(IntMatrix.from_rows(rows, n))
+    return intmat.determinant(IntMatrix.from_rows(
+        [[sum(x * y for x, y in zip(r, s)) for s in h.entries] for r in h.entries], h.rows))
+
+
 class TestPermutedEqualCost:
     def _timed(self, a, b):
         t0 = time.perf_counter()
@@ -521,14 +542,26 @@ class TestPermutedEqualCost:
 
     def test_all_gcd_one_pair_n9(self):
         n = 9
-        out, secs = self._timed([[1] * n, list(range(n))],
-                                [[1] * n, list(range(n - 1)) + [n]])
+        a = [[1] * n, list(range(n))]
+        out, secs = self._timed(a, [[1] * n, list(range(n - 1)) + [n]])
+        assert out is None and secs < 1.0
+        # det(G) answers that pair; a with its last column negated has the
+        # same G and goes on to the refinement
+        twin = [[1] * (n - 1) + [-1], list(range(n - 1)) + [1 - n]]
+        assert _gram_det(twin) == _gram_det(a)
+        out, secs = self._timed(a, twin)
         assert out is None and secs < 1.0
 
     def test_rank_n_minus_1_pair_n9(self):
         n = 9
-        out, secs = self._timed(_kernel_of_weights(list(range(1, n + 1))),
-                                _kernel_of_weights(list(range(1, n)) + [n + 1]))
+        a = _kernel_of_weights(list(range(1, n + 1)))
+        out, secs = self._timed(a, _kernel_of_weights(list(range(1, n)) + [n + 1]))
+        assert out is None and secs < 1.0
+        # det(G) of ker(v) is |v|^2 for a primitive v: weights 2 and 9
+        # replaced by 6 and 7 keep it, so this pair goes on to the colours
+        twin = _kernel_of_weights([1, 6, 3, 4, 5, 6, 7, 8, 7])
+        assert _gram_det(twin) == _gram_det(a)
+        out, secs = self._timed(a, twin)
         assert out is None and secs < 1.0
 
     def test_full_rank_index_pair_n9(self):
@@ -546,6 +579,12 @@ class TestPermutedEqualCost:
                         ([1, 2] + [1] * (n - 2), None)]:
             out, secs = self._timed(ones, _kernel_of_weights(w))
             assert out == want and secs < 1.0, w
+        # det(G) = |w|^2 answers the first and third pair; these weights
+        # have |w|^2 = 9 as the ones do, so their pairs go on to the colours
+        for w in [[1] * (n - 2) + [-1, -1], [1, 2, 2] + [0] * (n - 3)]:
+            assert _gram_det(_kernel_of_weights(w)) == _gram_det(ones), w
+            out, secs = self._timed(ones, _kernel_of_weights(w))
+            assert out is None and secs < 1.0, w
         out, secs = self._timed(_kernel_of_weights([1] * (n - 1) + [2]),
                                 _kernel_of_weights([1, 2] + [1] * (n - 2)))
         assert out == (0,) + tuple(range(2, n)) + (1,) and secs < 1.0
@@ -578,14 +617,22 @@ def _text(h):
     return "; ".join(" ".join(map(str, row)) for row in h.entries)
 
 
+def _negated(h, k):
+    return _mat([row[:k] + (-row[k],) + row[k + 1:] for row in h.entries], h.cols)
+
+
 class TestMinorColours:
+    # pairs where the pair colours leave a class of more than one column;
+    # the projection colours Q = det(G) P carry the maximal minors'
+    # information (Q_jj is the sum of p_I^2 over the I that contain j)
     @pytest.mark.parametrize("seed", [5, 7, 8])
     def test_generic_rank_6_lattices_in_z12(self, seed, capsys):
         # every pair colour is (1, 1) and every prefix of up to six columns
-        # projects onto all of Z^j, so only the maximal-minor colours tell
+        # projects onto all of Z^j, so only the projection colours tell
         # the columns apart.  The copy's last column is a's first, so a
         # search in one class of twelve would first try every arrangement
-        # of six columns after each of the other eleven.
+        # of six columns after each of the other eleven.  The copy with a
+        # column negated has a's det(G), so only the colours answer it.
         rng = random.Random(seed)
         a, b = (_saturated_with_plain_colours(rng, 6, 12) for _ in range(2))
         s = rng.sample(range(1, 12), 11) + [0]
@@ -593,16 +640,43 @@ class TestMinorColours:
         want = tuple(s.index(j) for j in range(12))
         with deadline():
             assert permuted_equal(a, b) is None
+            assert permuted_equal(a, _negated(c, 0)) is None
         with deadline():
             assert permuted_equal(a, c) == want
             assert main(["conjugate", "--group", "gln", "--a", _text(a), "--b", _text(c)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["witness"]["permutation"] == [k + 1 for k in want]
 
-    def test_minor_colours_are_sound(self):
-        # small pairs that the pair colours leave with a class of more than
-        # one column; the minor colours split most of them, and every answer
-        # is the brute-force one and keeps each |p_I|
+    @pytest.mark.parametrize("m, seed", [(8, 11), (10, 13)])
+    def test_generic_rank_8_and_10_lattices(self, m, seed):
+        # the same construction in Z^2m, with 102,960 and 1,847,560 maximal
+        # minors a side: a shuffled copy and the copy with a column negated
+        rng = random.Random(seed)
+        n = 2 * m
+        a = _saturated_with_plain_colours(rng, m, n)
+        s = rng.sample(range(1, n), n - 1) + [0]
+        c = _permuted(a.entries, s, n)
+        with deadline():
+            assert permuted_equal(a, c) == tuple(s.index(j) for j in range(n))
+            assert permuted_equal(a, _negated(c, 0)) is None
+
+    def test_projection_matrix_is_det_g_times_the_projection(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(61)
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            h = hermite_normal_form(_mat([[rng.randint(-5, 5) for _ in range(n)]
+                                          for _ in range(rng.randint(1, n))], n))
+            a = sympy.Matrix(h.to_lists())
+            g = a * a.T
+            assert sympy.Matrix(lattice._projection_matrix(h)) == \
+                g.det() * a.T * g.inv() * a, h
+
+    def test_projection_colours_are_sound(self):
+        # small pairs with one det(G) that the pair colours leave with a
+        # class of more than one column; the projection colours split most
+        # of them, and every answer is the brute-force one and keeps Q and
+        # each |p_I|, whose squares through column j sum to Q_jj
         rng = random.Random(67)
         seen = split = 0
         for t in range(400):
@@ -620,41 +694,51 @@ class TestMinorColours:
                 if rng.random() < 0.5:
                     b[rng.randrange(m)][rng.randrange(n)] += rng.choice((-1, 1))
             ha, hb = hermite_normal_form(_mat(a, n)), hermite_normal_form(_mat(b, n))
-            if ha.rows != hb.rows or invariant_factors(ha) != invariant_factors(hb):
+            if ha.rows != hb.rows or _gram_det(a, n) != _gram_det(b, n):
                 continue
             ta, tb = lattice._pair_colours(ha), lattice._pair_colours(hb)
             pair = lattice._refine(ta, tb)
             if pair is None or len(set(pair[0])) == n:
                 continue
             seen += 1
-            both = lattice._refine(ta, tb, (ha, hb))
+            both = lattice._refine(lattice._with_projection(ta, ha, pair[0]),
+                                   lattice._with_projection(tb, hb, pair[1]))
             split += both is None or len(set(both[0])) > len(set(pair[0]))
+            qa, qb = lattice._projection_matrix(ha), lattice._projection_matrix(hb)
+            pa, pb = _minors(ha.entries, range(n)), _minors(hb.entries, range(n))
+            assert all(qa[j][j] == sum(x * x for s, x in pa.items() if j in s)
+                       for j in range(n)), ha
             a, b = _mat(a, n), _mat(b, n)
             p = permuted_equal(a, b)
             assert p == lex_least_permutation(a, b), (a, b)
             if p is not None:
-                pa, pb = _minors(ha.entries, range(n)), _minors(hb.entries, range(n))
+                assert all(qa[j][k] == qb[p[j]][p[k]] for j in range(n) for k in range(n))
                 assert all(abs(x) == abs(pb[tuple(sorted(p[i] for i in s))])
                            for s, x in pa.items()), (a, b)
         assert seen >= 150 and split >= 100
 
-    def test_minor_colours_stay_within_their_budget(self, monkeypatch):
-        # the colour table is m C(n, m) entries a side; past the listing
-        # budget the pair classes stand and the search answers
+    def test_projection_colours_only_where_a_class_survives(self, monkeypatch):
+        # Q is computed, once a side, only when the pair colours leave a
+        # class of more than one column
         calls = Counter()
-        minors = lattice._minors
+        projection_matrix = lattice._projection_matrix
 
         def counted(*args):
-            calls["_minors"] += 1
-            return minors(*args)
+            calls["_projection_matrix"] += 1
+            return projection_matrix(*args)
 
-        monkeypatch.setattr(lattice, "_minors", counted)
+        monkeypatch.setattr(lattice, "_projection_matrix", counted)
         v, w = [1, 2, 2, 3, 3], [1, 3, 2, 3, 2]
         a, b = _mat(_kernel_of_weights(v), 5), _mat(_kernel_of_weights(w), 5)
-        want = lex_least_permutation(a, b)
-        assert permuted_equal(a, b) == want and calls["_minors"] == 2
-        monkeypatch.setitem(errors.BUDGETS, "list", 4 * 5 - 1)
-        assert permuted_equal(a, b) == want and calls["_minors"] == 2
+        assert permuted_equal(a, b) == lex_least_permutation(a, b)
+        assert calls["_projection_matrix"] == 2
+        a = _mat([[1] * 6, [0, 1, 2, 3, 4, 7]], 6)
+        b = _mat(_shuffled(random.Random(71), a.to_lists(), 6), 6)
+        ha, hb = hermite_normal_form(a), hermite_normal_form(b)
+        classes = lattice._refine(lattice._pair_colours(ha), lattice._pair_colours(hb))
+        assert classes is not None and len(set(classes[0])) == 6
+        assert permuted_equal(a, b) == lex_least_permutation(a, b)
+        assert calls["_projection_matrix"] == 2
 
 
 def test_a_discrete_refinement_checks_one_leaf(monkeypatch):
@@ -683,3 +767,35 @@ def test_a_discrete_refinement_checks_one_leaf(monkeypatch):
         assert calls == {"_projection": 1}, (a, calls)
         calls.clear()
     assert want is None
+
+
+def test_gram_determinant_is_sound():
+    # a matching permutation keeps det(G), so no pair that differs in it
+    # has a match; column permutations and sign changes keep G itself
+    differ = 0
+    for n, a, b in _perturbed_pairs():
+        if _gram_det(a, n) != _gram_det(b, n):
+            differ += 1
+            assert lex_least_permutation(_mat(a, n), _mat(b, n)) is None, (a, b)
+    assert differ >= 150
+    for n, a, b in _negated_column_pairs():
+        assert _gram_det(a, n) == _gram_det(b, n), (a, b)
+
+
+def test_an_index_2_sublattice_stops_at_det_g(monkeypatch):
+    # b = [2 a_0; a_1] spans a sublattice of index 2, so det(G) is 4 times
+    # a's, and neither invariant factors nor pair colours are computed
+    a = [[1, 2, 0, -1, 3, 1], [0, 1, 1, 2, -2, 0]]
+    b = [[2 * x for x in a[0]], a[1]]
+    calls = Counter()
+    with monkeypatch.context() as patch:
+        for name in ["invariant_factors", "_pair_colours"]:
+            def counted(*args, fn=getattr(lattice, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+            patch.setattr(lattice, name, counted)
+        assert permuted_equal(_mat(a, 6), _mat(b, 6)) is None
+        assert conjugate_in_gl(DiagSubgroup.from_matrix(_mat(a, 6)),
+                               DiagSubgroup.from_matrix(_mat(b, 6))) is None
+    assert not calls, calls
+    assert lex_least_permutation(_mat(a, 6), _mat(b, 6)) is None
