@@ -187,10 +187,9 @@ def _projection_matrix(h: IntMatrix) -> list[list[int]]:
 
 
 def _with_projection(table: list, h: IntMatrix, classes: list[int]) -> list:
-    """The pair-colour table of h with each entry extended by Q_jk
-    (_projection_matrix), and each diagonal entry also by the column's
-    class, so that a refinement of the new table starts from those
-    classes."""
+    """h's pair-colour table with each entry extended by Q_jk
+    (_projection_matrix) and each diagonal entry also by the column's class,
+    so that a refinement of the new table starts from those classes."""
     out = [list(zip(row, q)) for row, q in zip(table, _projection_matrix(h))]
     for j, c in enumerate(classes):
         out[j][j] += (c,)
@@ -202,7 +201,8 @@ def _refine(ta: list, tb: list):
     columns of two pair-colour tables.
 
     The pair colours of both tables are numbered together, and columns
-    start from the code of their diagonal colour.  Each round recolours
+    start from the code of their diagonal colour (which _with_projection
+    makes carry the classes of an earlier refinement).  Each round recolours
     column j by its colour and the sorted codes of (colour of k, pair colour
     of (j, k)) over all columns k, one integer each, with ids numbered from
     the signatures of both sides at once so that they agree.  Returns None as
@@ -307,11 +307,11 @@ def _match(ha: IntMatrix, hb: IntMatrix):
         return tuple(range(n))  # the identity comes first in lex order
     if ha.rows != hb.rows or _det(_gram(ha)) != _det(_gram(hb)):
         return None
-    ta, colours = _pair_colours(ha), _pair_colours(hb)
-    classes = _refine(ta, colours)
+    ta, tb = _pair_colours(ha), _pair_colours(hb)
+    classes = _refine(ta, tb)
     if classes is not None and len(set(classes[0])) < n:
         classes = _refine(_with_projection(ta, ha, classes[0]),
-                          _with_projection(colours, hb, classes[1]))
+                          _with_projection(tb, hb, classes[1]))
     if classes is None:
         return None
     ca, cb = classes
@@ -347,7 +347,7 @@ def _match(ha: IntMatrix, hb: IntMatrix):
 
     def twin(k: int, l: int) -> bool:
         if (k, l) not in swaps:
-            swaps[k, l] = _swap_closed(hb, k, l, colours[k][l][0])
+            swaps[k, l] = _swap_closed(hb, k, l, tb[k][l][0])
         return swaps[k, l]
 
     def search() -> bool:
