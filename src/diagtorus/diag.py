@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from .errors import DimensionMismatch, NotPrimitive, ZeroVector
-from .intmat import IntMatrix, _witnessed_pass, invariant_factors, smith_normal_form
+from .intmat import IntMatrix, _diagonalize, _identity_lists, _witnessed_pass, invariant_factors
 from .lattice import RowLattice, _match, equal, lattice_of
 
 
@@ -103,24 +103,24 @@ def conjugate_in_crn(g1: DiagSubgroup, g2: DiagSubgroup) -> bool:
 def crn_conjugator(g1: DiagSubgroup, g2: DiagSubgroup):
     """Unimodular exponent matrix of a monomial birational conjugator, or None.
 
-    Decided from the Smith forms of the two Hermite bases, which have one row
-    per unit of rank: for one width, equal diagonals mean equal iso types.
-    Then S = U_A A V_A = U_B B V_B, and M = V_A V_B^-1 satisfies
-    transform(g1.lattice, M) = g2.lattice.  M^T is solved for, not
-    multiplied out: the rows of V_B^T are unimodular, so their Hermite form
-    is the identity, and a Hermite pass on them carrying the rows of V_A^T
-    leaves (V_B^T)^-1 V_A^T = M^T in the witness.
+    Decided from the Smith diagonals of the two Hermite bases, which have one
+    row per unit of rank: for one width, equal diagonals mean equal iso
+    types.  _diagonalize runs on the stored bases with an empty row witness
+    and gives the rows of V_A^T and V_B^T; then M = V_A V_B^-1 satisfies
+    transform(g1.lattice, M) = g2.lattice.  M^T is solved for: the rows of
+    V_B^T are unimodular, so their Hermite form is the identity, and a
+    Hermite pass on them carrying the rows of V_A^T leaves (V_B^T)^-1 V_A^T
+    = M^T in the witness.
     """
     if g1.ambient_dim != g2.ambient_dim:
         raise DimensionMismatch("subgroups live in different ambient tori")
-    sa = smith_normal_form(g1.lattice.basis)
-    sb = smith_normal_form(g2.lattice.basis)
-    if sa.factors != sb.factors:
-        return None
     n = g1.ambient_dim
-    mt = [list(col) for col in zip(*sa.V.entries)]
-    _witnessed_pass([list(col) for col in zip(*sb.V.entries)], mt, n)
-    return IntMatrix(n, n, tuple(zip(*mt)))
+    a, b = g1.lattice.basis, g2.lattice.basis
+    va, vb = _identity_lists(n), _identity_lists(n)
+    if _diagonalize(a.entries, [[]] * a.rows, va) != _diagonalize(b.entries, [[]] * b.rows, vb):
+        return None
+    _witnessed_pass(vb, va, n)
+    return IntMatrix(n, n, tuple(zip(*va)))
 
 
 def crn_canonical(g: DiagSubgroup) -> CanonicalCrn:

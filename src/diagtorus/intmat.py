@@ -1,11 +1,11 @@
 """Exact integer matrix arithmetic.
 
 Smith normal form with unimodular witnesses, row-style Hermite reduction,
-rank, determinants, and maximal minors.  One Hermite pass serves every
-elimination.  The Smith form alternates row and column passes that carry
-witness rows; the invariant factors alone alternate bare passes, starting
-from the column pass.  Everything runs on Python's arbitrary-precision
-integers; there are no fractions and no floating point anywhere.
+rank, determinants, exact solves, and maximal minors.  One Hermite pass
+serves every unimodular elimination and one Gauss-Jordan pass every solve.
+Smith forms alternate column and row passes from a row Hermite form, with
+witness rows or, for the invariant factors alone, bare.  Everything runs on
+Python's arbitrary-precision integers; no fractions, no floating point.
 """
 
 from __future__ import annotations
@@ -91,6 +91,29 @@ def _det(m: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * prev
+
+
+def _solve(a, b) -> tuple[int, list[list[int]]]:
+    """(d, d a^-1 b) for a nonsingular square list of rows a, d = +-det a:
+    one fraction-free Gauss-Jordan elimination (Bareiss) on [a | b], whose
+    divisions are exact.  A zero pivot swaps with the first nonzero entry
+    below it, flipping both signs; a positive definite a never needs it."""
+    n = len(a)
+    work = [[*x, *y] for x, y in zip(a, b)]
+    prev = 1
+    for k in range(n):
+        if not work[k][k]:
+            i = next(i for i in range(k + 1, n) if work[i][k])
+            work[k], work[i] = work[i], work[k]
+        pivot = work[k]
+        p = pivot[k]
+        for i, row in enumerate(work):
+            if i != k:
+                f = row[k]
+                row[k + 1:] = [(x * p - f * y) // prev
+                               for x, y in zip(row[k + 1:], pivot[k + 1:])]
+        prev = p
+    return prev, [row[n:] for row in work]
 
 
 def _euclid(a: int, b: int) -> tuple[int, int, int, int]:
@@ -238,19 +261,19 @@ def _witnessed_pass(rows, wit, width: int) -> list[list[int]]:
 
 
 def _diagonalize(rows, u, vt) -> list[int]:
-    """Nonzero Smith diagonal of the m x n matrix rows, in divisibility
-    order; u and vt receive the row and column operations in place.
+    """Nonzero Smith diagonal of the m x n row Hermite form rows, in
+    divisibility order; u and vt receive the row and column operations.
 
-    Row and column Hermite passes alternate until the matrix is diagonal.
-    The row pass carries the rows of u; the column pass is the row pass on
-    the transpose and carries the rows of vt.  Each pass leaves the unique
-    Hermite form of its input, so the matrices and the factors do not depend
-    on how _hermite_pass reaches it; the witnesses do.  The pass inserts
-    rows into a reduced echelon form, so a witness row is combined only with
-    reduced rows, and a kernel row of u or vt is fixed when its row reduces
-    to zero.  This keeps the bits of u and vt within a small multiple of the
-    Hadamard bits of the matrix on every shape (tested to k = 40 on k x k,
-    k x (k + 2) and (k + 2) x k inputs).
+    Column and row Hermite passes alternate, from the column pass, until the
+    matrix is diagonal.  The row pass carries the rows of u; the column pass
+    is the row pass on the transpose and carries the rows of vt.  Each pass
+    leaves the unique Hermite form of its input, so the matrices and the
+    factors do not depend on how _hermite_pass reaches it; the witnesses
+    do.  The pass inserts rows into a reduced echelon form, so a witness row
+    is combined only with reduced rows, and a kernel row of u or vt is fixed
+    when its row reduces to zero.  This keeps the bits of u and vt within a
+    small multiple of the Hadamard bits of the matrix on every shape (tested
+    to k = 40 on k x k, k x (k + 2) and (k + 2) x k inputs).
 
     The passes terminate: from the second pass on, entry (0, 0) is positive
     and is the gcd of the column (row pass) or row (column pass) through it,
@@ -259,11 +282,10 @@ def _diagonalize(rows, u, vt) -> list[int]:
     again.  The same argument then applies to the trailing submatrix.
     """
     m, n = len(rows), len(vt)
-    for wit, width in cycle(((u, n), (vt, m))):
-        rows = _witnessed_pass(rows, wit, width)
-        if _is_diagonal(rows):
-            break
-        rows = [list(c) for c in zip(*rows)]
+    passes = cycle(((vt, m), (u, n)))
+    while not _is_diagonal(rows):
+        wit, width = next(passes)
+        rows = _witnessed_pass([list(c) for c in zip(*rows)], wit, width)
     # The last pass left a diagonal Hermite form (of the matrix or of its
     # transpose): positive entries, zeros trailing.  Fix the divisibility
     # chain with 2 x 2 unimodular transforms taking diag(x, y) to diag(gcd,
@@ -288,7 +310,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form with unimodular witnesses: S = U @ A @ V."""
     m, n = a.rows, a.cols
     u, vt = _identity_lists(m), _identity_lists(n)
-    d = _diagonalize(a.to_lists(), u, vt)
+    d = _diagonalize(_witnessed_pass(a.to_lists(), u, n), u, vt)
     S = IntMatrix(m, n, tuple(tuple(d[i] if i == j and i < len(d) else 0
                                     for j in range(n)) for i in range(m)))
     U = IntMatrix(m, m, tuple(tuple(row) for row in u))
@@ -299,11 +321,10 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     """The nonzero Smith diagonal, from bare Hermite passes.
 
-    The transpose has the same factors, so the alternation starts with the
-    column pass: on a Hermite basis, which every caller in the package
-    passes, a row pass would change nothing.  Each pass drops its zero rows,
-    and the passes stop as _diagonalize's do.  The chain is then repaired on
-    the diagonal alone: (x, y) becomes (gcd, lcm).
+    The transpose has the same factors, so the passes start from the column
+    pass, as _diagonalize's do, on any input.  Each pass drops its zero
+    rows, and the chain is repaired on the diagonal alone: (x, y) becomes
+    (gcd, lcm).
     """
     rows, width = [list(c) for c in zip(*a.entries)], a.rows
     while True:
@@ -364,7 +385,6 @@ def _cached_laplace_table(n: int, k: int) -> tuple | None:
     return None
 
 
-@lru_cache(maxsize=None)
 def _minors_cost(m: int, n: int) -> tuple[int, int]:
     """The cost units of _minors' two methods on m rows and n columns: the
     Laplace expansions, sum_k k C(n, k) terms, and one Bareiss elimination
@@ -372,9 +392,9 @@ def _minors_cost(m: int, n: int) -> tuple[int, int]:
     return sum(k * comb(n, k) for k in range(m + 1)), comb(n, m) * (3 + m ** 3 // 7)
 
 
-def _minors(rows, cols) -> dict[tuple[int, ...], int]:
-    """Every len(rows)-square minor of rows on the columns cols, keyed by
-    column tuples of cols in combinations order.
+def _minors(rows, n: int) -> dict[tuple[int, ...], int]:
+    """Every len(rows)-square minor of the rows, n entries each, keyed by
+    column tuples in combinations order.
 
     A Laplace expansion along row k reuses the minors of the first k rows
     for the first k + 1: sum_k k C(n, k) terms, about 2^n as m nears n.  The
@@ -387,17 +407,17 @@ def _minors(rows, cols) -> dict[tuple[int, ...], int]:
     answers and 7 x 30 (1.9e7) does not; m 2^n bounds the Laplace sum, so
     while that is within the budget the check is one comparison.
     """
-    m, n = len(rows), len(cols)
+    m = len(rows)
     if 2 * m > n or m << n > BUDGETS["work"]:
         laplace, bareiss = _minors_cost(m, n)
         check_budget(min(laplace, bareiss), "work", "maximal minors exceed the computation budget")
         if laplace >= bareiss:
             return {s: _det([[row[j] for j in s] for row in rows])
-                    for s in combinations(cols, m)}
+                    for s in combinations(range(n), m)}
     # the first row's entries are its 1-minors; with no rows the one 0-minor is 1
-    minors = [rows[0][j] for j in cols] if m else [1]
+    minors = list(rows[0]) if m else [1]
     for k in range(1, m):
-        row = [rows[k][j] for j in cols]
+        row = rows[k]
         new = []
         for terms in _cached_laplace_table(n, k) or _laplace_table(n, k):
             d = 0
@@ -406,7 +426,7 @@ def _minors(rows, cols) -> dict[tuple[int, ...], int]:
                 d = d - x if odd else d + x
             new.append(d)
         minors = new
-    return dict(zip(combinations(cols, m), minors))
+    return dict(zip(combinations(range(n), m), minors))
 
 
 def pluecker_coordinates(a: IntMatrix) -> dict[tuple[int, ...], int]:
@@ -415,7 +435,7 @@ def pluecker_coordinates(a: IntMatrix) -> dict[tuple[int, ...], int]:
     The rank is read off the minors themselves, not from a Hermite form: a
     matrix has full row rank iff some maximal minor is nonzero.
     """
-    minors = _minors(a.entries, range(a.cols)).values()
+    minors = _minors(a.entries, a.cols).values()
     coords = dict(zip(combinations(range(1, a.cols + 1), a.rows), minors))
     if not any(coords.values()):
         raise RankDeficient("matrix does not have full row rank")

@@ -2,8 +2,8 @@
 
 Equality is implemented twice on purpose.  Hermite-basis comparison is the
 production path; the Pluecker-coordinate criterion is an independently coded
-cross-check built on minors alone (intmat._minors), and the two must always
-agree on full-row-rank inputs.
+cross-check built on maximal minors and one exact solve (intmat._solve), and
+the two must always agree on full-row-rank inputs.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from .intmat import (
     _det,
     _hermite_pass,
     _identity_lists,
-    _minors,
-    determinant,
+    _solve,
     hermite_normal_form,
     invariant_factors,
     pluecker_coordinates,
@@ -76,10 +75,8 @@ def pluecker_equal(a: IntMatrix, b: IntMatrix) -> bool:
     The two matrices must have full row rank and the same shape.  The test is:
     all Pluecker coordinates agree (possibly after a global sign flip), and for
     one column tuple I with nonzero minor the matrix X = B_I (A_I)^-1 is
-    integral.  By Cramer's rule X[i][j] = det(A_I with row j replaced by row
-    i of B_I) / det(A_I): row i of B_I dotted with the cofactors of row j of
-    A_I, the signed (m-1)-minors of its other rows, up to a sign (-1)^j that
-    a divisibility test ignores.
+    integral.  One _solve on [A_I^T | B_I^T] gives +-det(A_I) X^T, so X is
+    integral iff det(A_I) divides every entry.
     """
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionMismatch("operands must both be m x n")
@@ -87,15 +84,10 @@ def pluecker_equal(a: IntMatrix, b: IntMatrix) -> bool:
     pb = pluecker_coordinates(b)
     if pa != pb and pa != {k: -x for k, x in pb.items()}:
         return False
-    key, det = next((k, x) for k, x in pa.items() if x)
-    cols = tuple(j - 1 for j in key)
-    for j in range(a.rows):
-        minors = _minors(a.entries[:j] + a.entries[j + 1:], cols)
-        cof = [(-1) ** t * minors[cols[:t] + cols[t + 1:]] for t in range(a.rows)]
-        for brow in b.entries:
-            if sum(brow[k] * c for k, c in zip(cols, cof)) % det:
-                return False
-    return True
+    key = next(k for k, x in pa.items() if x)
+    at, bt = ([[row[j - 1] for row in m.entries] for j in key] for m in (a, b))
+    det, xt = _solve(at, bt)
+    return not any(x % det for row in xt for x in row)
 
 
 def transform(lat: RowLattice, mat: IntMatrix) -> RowLattice:
@@ -103,7 +95,7 @@ def transform(lat: RowLattice, mat: IntMatrix) -> RowLattice:
     n = lat.ambient_dim
     if mat.rows != n or mat.cols != n:
         raise DimensionMismatch("transform matrix must be n x n")
-    if abs(determinant(mat)) != 1:
+    if abs(_det(mat.to_lists())) != 1:
         raise NotUnimodular("transform matrix must have determinant +-1")
     return lattice_of(lat.basis @ mat)
 
@@ -167,22 +159,10 @@ def _projection_matrix(h: IntMatrix) -> list[list[int]]:
     Another basis T h, T unimodular, gives det(T)^2 Q = Q, and a column
     permutation conjugates Q by its matrix, so each Q_jk is a colour of the
     pair of columns (j, k).  By Cauchy-Binet Q_jj is the sum of p_I^2 over
-    the maximal minors p_I with j in I.  One fraction-free Gauss-Jordan
-    elimination (Bareiss) on [G | h] leaves det(G) I beside adj(G) h; its
-    pivots are the leading principal minors of the positive definite G, so
-    no pivot search is needed.
+    the maximal minors p_I with j in I.  _solve(G, h) gives adj(G) h = det(G)
+    G^-1 h, with no row swap: G is positive definite.
     """
-    work = [g + list(r) for g, r in zip(_gram(h), h.entries)]
-    prev = 1
-    for k, pivot in enumerate(work):
-        p = pivot[k]
-        for i, row in enumerate(work):
-            if i != k:
-                f = row[k]
-                row[k + 1:] = [(x * p - f * y) // prev
-                               for x, y in zip(row[k + 1:], pivot[k + 1:])]
-        prev = p
-    adj = list(zip(*[row[h.rows:] for row in work]))
+    adj = list(zip(*_solve(_gram(h), h.entries)[1]))
     return [[sum(map(operator.mul, x, y)) for y in adj] for x in zip(*h.entries)]
 
 

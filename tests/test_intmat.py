@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from math import gcd
 from itertools import combinations
 
@@ -20,7 +21,7 @@ from diagtorus import (
 )
 from diagtorus import intmat
 from diagtorus.errors import NotUnimodular, RankDeficient
-from diagtorus.intmat import _hermite_pass, _minors
+from diagtorus.intmat import _hermite_pass, _minors, _solve
 
 
 def small_matrix(max_dim=4, lo=-5, hi=5):
@@ -442,9 +443,10 @@ def bareiss_minors(a: IntMatrix, cols) -> dict[tuple[int, ...], int]:
 
 class TestMinors:
     def test_match_bareiss_on_every_column_subset(self):
-        # the Laplace tables depend only on (len(cols), row), so calls with
-        # one column count and several row counts, and the cofactor calls of
-        # pluecker_equal (m - 1 rows on m columns), share them in any order
+        # the Laplace tables depend only on (n, row), so calls with one
+        # column count and several row counts, and the minors of a column
+        # subset or of m - 1 rows on m columns (restricted rows), share them
+        # in any order
         rng = random.Random("minors-vs-bareiss")
         deficient = zero_column = 0
         for trial in range(300):
@@ -463,20 +465,20 @@ class TestMinors:
                 zero_column += 1
             a = IntMatrix.from_rows(rows, n)
             want = bareiss_minors(a, range(n))
-            got = _minors(a.entries, range(n))
+            got = _minors(a.entries, n)
             assert list(got) == list(combinations(range(n), m))
             assert got == want
             cols = sorted(rng.sample(range(n), rng.randint(m, n)))
-            sub = _minors(a.entries, cols)
-            assert list(sub) == list(combinations(cols, m))
-            assert sub == bareiss_minors(a, cols)
+            sub = _minors([[row[j] for j in cols] for row in rows], len(cols))
+            assert list(sub.values()) == list(bareiss_minors(a, cols).values())
             k = rng.randint(0, m)
             head = IntMatrix.from_rows(rows[:k], n)
-            assert _minors(head.entries, range(n)) == bareiss_minors(head, range(n))
+            assert _minors(head.entries, n) == bareiss_minors(head, range(n))
             key = tuple(sorted(rng.sample(range(n), m)))
             j = rng.randrange(m)
             cof = IntMatrix.from_rows(rows[:j] + rows[j + 1:], n)
-            assert _minors(cof.entries, key) == bareiss_minors(cof, key)
+            got = _minors([[row[c] for c in key] for row in cof.entries], m)
+            assert list(got.values()) == list(bareiss_minors(cof, key).values())
             if any(want.values()):
                 coords = pluecker_coordinates(a)
                 assert list(coords) == list(combinations(range(1, n + 1), m))
@@ -490,7 +492,7 @@ class TestMinors:
         # 2 C(60, 2) = 3,540 terms, and only the first row's is cached
         assert 2 * math.comb(60, 2) > intmat._CACHED_TABLE_TERMS >= 60
         a = random_matrix(rng, 2, 60, 1000)
-        got = _minors(a.entries, range(60))
+        got = _minors(a.entries, 60)
         assert list(got) == list(combinations(range(60), 2))
         assert got == bareiss_minors(a, range(60))
         cache = intmat._cached_laplace_table
@@ -505,7 +507,7 @@ class TestMinors:
         sympy = pytest.importorskip("sympy")
         rng = random.Random(f"minors-choice-{m}x{n}")
         rows = random_matrix(rng, m, n, 1000).entries
-        got = _minors(rows, range(n))
+        got = _minors(rows, n)
         assert list(got) == list(combinations(range(n), m))
         for s, d in got.items():
             assert d == sympy.Matrix([[row[j] for j in s] for row in rows]).det()
@@ -513,9 +515,68 @@ class TestMinors:
     @pytest.mark.parametrize("m", [1, 3])
     def test_no_columns(self, m):
         a = IntMatrix(m, 0, ((),) * m)
-        assert _minors(a.entries, range(0)) == {}
+        assert _minors(a.entries, 0) == {}
         with pytest.raises(RankDeficient):
             pluecker_coordinates(a)
+
+
+def fraction_inverse(a):
+    """a^-1 over the rationals, by Gauss-Jordan on Fractions with a
+    row-swap pivot."""
+    n = len(a)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(a)]
+    for k in range(n):
+        i = next(i for i in range(k, n) if work[i][k])
+        work[k], work[i] = work[i], work[k]
+        work[k] = [x / work[k][k] for x in work[k]]
+        for i in range(n):
+            if i != k and work[i][k]:
+                work[i] = [x - work[i][k] * y for x, y in zip(work[i], work[k])]
+    return [row[n:] for row in work]
+
+
+class TestSolve:
+    def test_matches_a_fraction_inverse(self):
+        # _solve(a, b) is (d, d a^-1 b) with d = +-det a; a third of the
+        # inputs have a zero leading entry, so the row swap runs, and the
+        # sign of d follows the swaps
+        rng = random.Random("solve-vs-fractions")
+        swapped = 0
+        for trial in range(300):
+            n = rng.randint(1, 6)
+            while True:
+                a = random_matrix(rng, n, n, rng.choice((1, 9, 1000))).to_lists()
+                if trial % 3 == 0 and n > 1:
+                    a[0][0] = 0
+                    for i in rng.sample(range(1, n), rng.randint(0, n - 2)):
+                        a[i][0] = 0
+                if determinant(IntMatrix.from_rows(a, n)):
+                    break
+            b = random_matrix(rng, n, rng.randint(0, 4), 50).to_lists()
+            swapped += a[0][0] == 0
+            d, x = _solve(a, b)
+            det = determinant(IntMatrix.from_rows(a, n))
+            assert d in (det, -det)
+            inv = fraction_inverse(a)
+            want = [[d * sum(inv[i][k] * b[k][j] for k in range(n)) for j in range(len(b[0]))]
+                    for i in range(n)]
+            assert x == want
+            assert all(type(v) is int for row in x for v in row)
+        assert swapped >= 80
+
+    def test_gram_matrices_need_no_swap(self):
+        # G = h h^T is positive definite, so d is det(G) with its sign
+        rng = random.Random("solve-gram")
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            h = hermite_normal_form(random_matrix(rng, rng.randint(1, n), n, 9))
+            g = [[sum(x * y for x, y in zip(r, s)) for s in h.entries] for r in h.entries]
+            d, x = _solve(g, h.entries)
+            assert d == determinant(IntMatrix.from_rows(g, h.rows)) > 0
+            inv = fraction_inverse(g)
+            assert x == [[d * sum(inv[i][k] * h.entries[k][j] for k in range(h.rows))
+                          for j in range(n)] for i in range(h.rows)]
 
 
 class TestPivotChoiceWitnesses:

@@ -153,12 +153,14 @@ def test_pluecker_equal_under_a_global_sign_flip(m):
         assert equal(lattice_of(a), lattice_of(b)) == equal_lattices
 
 
-@pytest.mark.parametrize("m,n", [(10, 14), (16, 16), (20, 20)])
+@pytest.mark.parametrize("m,n", [(10, 14), (16, 16), (20, 20), (30, 30)])
 def test_pluecker_equal_on_large_near_square_inputs(m, n):
     # on square shapes the shared Laplace expansion would take about n 2^n
     # terms, so every minor comes from its own Bareiss elimination; 10 x 14
-    # expands its coordinates and eliminates its cofactors.  As above, a and
-    # b have the same minors up to sign and differ as lattices.
+    # expands its coordinates.  The integrality test is one m x 2m solve, so
+    # 30 x 30 answers well within the deadline (m cofactor expansions of
+    # m - 1 rows took seconds).  As above, a and b have the same minors up
+    # to sign and differ as lattices.
     rng = random.Random(f"pluecker-large-{m}x{n}")
     a = _full_rank_matrix(rng, m, n)
     b = [list(row) for row in a]
@@ -166,8 +168,10 @@ def test_pluecker_equal_on_large_near_square_inputs(m, n):
     b[1] = [2 * x for x in b[1]]
     a = IntMatrix.from_rows(a, n)
     b = _unimodular(rng, m) @ IntMatrix.from_rows(b, n)
-    assert not pluecker_equal(a, b) and not equal(lattice_of(a), lattice_of(b))
-    assert pluecker_equal(a, _unimodular(rng, m) @ a)
+    c = _unimodular(rng, m) @ a
+    with deadline():
+        assert not pluecker_equal(a, b) and not equal(lattice_of(a), lattice_of(b))
+        assert pluecker_equal(a, c) and pluecker_equal(c, a)
 
 
 def test_methods_agree_on_random_full_rank_pairs():
@@ -589,6 +593,16 @@ class TestPermutedEqualCost:
                                 _kernel_of_weights([1, 2] + [1] * (n - 2)))
         assert out == (0,) + tuple(range(2, n)) + (1,) and secs < 1.0
 
+    def test_twin_pruning_pairs_n9(self):
+        # congruence lattices {x : c.x = 0 (mod 7)} with one det(G) and
+        # repeated weights: b's columns of weight 1 swap freely, so once one
+        # of them fails at a position the rest are skipped there.  Without
+        # that pruning each pair passes the node budget after seconds.
+        for c, d in [((1,) * 8 + (2,), (1,) * 8 + (3,)),
+                     ((1,) * 7 + (2, 2), (1,) * 7 + (3, 4))]:
+            out, secs = self._timed(_congruence(c, 7), _congruence(d, 7))
+            assert out is None and secs < 1.0, (c, d)
+
     def test_node_budget(self, monkeypatch, capsys):
         # the match (5, 4, ..., 0) needs at least 6 partial assignments
         monkeypatch.setitem(errors.BUDGETS, "nodes", 3)
@@ -705,7 +719,7 @@ class TestMinorColours:
                                    lattice._with_projection(tb, hb, pair[1]))
             split += both is None or len(set(both[0])) > len(set(pair[0]))
             qa, qb = lattice._projection_matrix(ha), lattice._projection_matrix(hb)
-            pa, pb = _minors(ha.entries, range(n)), _minors(hb.entries, range(n))
+            pa, pb = _minors(ha.entries, n), _minors(hb.entries, n)
             assert all(qa[j][j] == sum(x * x for s, x in pa.items() if j in s)
                        for j in range(n)), ha
             a, b = _mat(a, n), _mat(b, n)
