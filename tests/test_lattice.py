@@ -158,9 +158,9 @@ def test_pluecker_equal_on_large_near_square_inputs(m, n):
     # on square shapes the shared Laplace expansion would take about n 2^n
     # terms, so every minor comes from its own Bareiss elimination; 10 x 14
     # expands its coordinates.  The integrality test is one m x 2m solve, so
-    # 30 x 30 answers well within the deadline (m cofactor expansions of
-    # m - 1 rows took seconds).  As above, a and b have the same minors up
-    # to sign and differ as lattices.
+    # 30 x 30 answers well within the deadline in both orders (m cofactor
+    # expansions of m - 1 rows took about 2 s a call).  As above, a and b
+    # have the same minors up to sign and differ as lattices.
     rng = random.Random(f"pluecker-large-{m}x{n}")
     a = _full_rank_matrix(rng, m, n)
     b = [list(row) for row in a]
