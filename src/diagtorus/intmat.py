@@ -385,10 +385,12 @@ def _cached_laplace_table(n: int, k: int) -> tuple | None:
     return None
 
 
+@lru_cache(maxsize=32)
 def _minors_cost(m: int, n: int) -> tuple[int, int]:
     """The cost units of _minors' two methods on m rows and n columns: the
     Laplace expansions, sum_k k C(n, k) terms, and one Bareiss elimination
-    per minor, about C(n, m) (3 + m^3 / 7)."""
+    per minor, about C(n, m) (3 + m^3 / 7).  Bounded-cached, as the Laplace
+    tables are: every small shape repeats it."""
     return sum(k * comb(n, k) for k in range(m + 1)), comb(n, m) * (3 + m ** 3 // 7)
 
 

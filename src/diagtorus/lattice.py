@@ -152,25 +152,43 @@ def _gram(h: IntMatrix) -> list[list[int]]:
     return [[sum(map(operator.mul, r, s)) for s in h.entries] for r in h.entries]
 
 
-def _projection_matrix(h: IntMatrix) -> list[list[int]]:
-    """Q = h^T adj(G) h = det(G) P for the basis h, G = _gram(h) and P the
-    orthogonal projection onto the row space.
+def _scaled_dual(h: IntMatrix) -> list[list[int]]:
+    """Y = adj(G) h = det(G) G^-1 h for the basis h and G = _gram(h): det(G)
+    times the dual basis of the lattice in its real span.  One _solve, with
+    no row swap, since G is positive definite."""
+    return _solve(_gram(h), h.entries)[1]
+
+
+def _column_colours(h: IntMatrix, y: list[list[int]]) -> list[tuple[int, int]]:
+    """The colour (gcd(col_j), Q_jj) of each column j of the Hermite basis h,
+    with y = _scaled_dual(h) and Q_jj = col_j(h) . col_j(y) the diagonal of
+    _projection_matrix, in O(mn).
+
+    Both are lattice invariants that a column permutation carries along:
+    the column gcd is gcd{v_j : v in L}, and Q_jj is the sum of p_I^2 over
+    the maximal minors p_I with j in I (Cauchy-Binet).
+    """
+    return [(gcd(*x), sum(map(operator.mul, x, z)))
+            for x, z in zip(zip(*h.entries), zip(*y))]
+
+
+def _projection_matrix(h: IntMatrix, y: list[list[int]]) -> list[list[int]]:
+    """Q = h^T y = h^T adj(G) h = det(G) P for the basis h, y =
+    _scaled_dual(h) and P the orthogonal projection onto the row space.
 
     Another basis T h, T unimodular, gives det(T)^2 Q = Q, and a column
     permutation conjugates Q by its matrix, so each Q_jk is a colour of the
-    pair of columns (j, k).  By Cauchy-Binet Q_jj is the sum of p_I^2 over
-    the maximal minors p_I with j in I.  _solve(G, h) gives adj(G) h = det(G)
-    G^-1 h, with no row swap: G is positive definite.
+    pair of columns (j, k).
     """
-    adj = list(zip(*_solve(_gram(h), h.entries)[1]))
-    return [[sum(map(operator.mul, x, y)) for y in adj] for x in zip(*h.entries)]
+    cols = list(zip(*y))
+    return [[sum(map(operator.mul, x, z)) for z in cols] for x in zip(*h.entries)]
 
 
-def _with_projection(table: list, h: IntMatrix, classes: list[int]) -> list:
-    """h's pair-colour table with each entry extended by Q_jk
+def _with_projection(table: list, q: list[list[int]], classes: list[int]) -> list:
+    """A pair-colour table with each entry extended by Q_jk
     (_projection_matrix) and each diagonal entry also by the column's class,
     so that a refinement of the new table starts from those classes."""
-    out = [list(zip(row, q)) for row, q in zip(table, _projection_matrix(h))]
+    out = [list(zip(row, qrow)) for row, qrow in zip(table, q)]
     for j, c in enumerate(classes):
         out[j][j] += (c,)
     return out
@@ -247,11 +265,15 @@ def _match(ha: IntMatrix, hb: IntMatrix):
     """permuted_equal on the Hermite bases ha and hb of the two lattices.
 
     A matching permutation keeps the rank and det(G) (_gram), and it maps
-    each class of the joint colour refinement (_refine) of the pair colours
-    (_pair_colours) onto the class of the same id; a class of more than one
-    column is refined further with Q = det(G) P (_with_projection).  When
-    any of these tells the two sides apart, the answer is None without a
-    search.
+    each column of b onto one of a with the same column colour (gcd, Q_jj)
+    (_column_colours, from one _solve a side).  Cheap per-column invariants
+    come before pair invariants, as in practical isomorphism testing: when
+    every colour is distinct they are the classes, and no pair-colour table
+    is built.  Otherwise the pair colours (_pair_colours) are refined
+    jointly (_refine), and a class of more than one column is refined
+    further with Q = det(G) P (_with_projection), built from the same
+    solve.  When any of these tells the two sides apart, the answer is None
+    without a search.
 
     Backtracking assigns columns in order, each position only from
     its class.  A permutation that matches the lattices also matches their
@@ -287,14 +309,19 @@ def _match(ha: IntMatrix, hb: IntMatrix):
         return tuple(range(n))  # the identity comes first in lex order
     if ha.rows != hb.rows or _det(_gram(ha)) != _det(_gram(hb)):
         return None
-    ta, tb = _pair_colours(ha), _pair_colours(hb)
-    classes = _refine(ta, tb)
-    if classes is not None and len(set(classes[0])) < n:
-        classes = _refine(_with_projection(ta, ha, classes[0]),
-                          _with_projection(tb, hb, classes[1]))
-    if classes is None:
+    ya, yb = _scaled_dual(ha), _scaled_dual(hb)
+    ca, cb = _column_colours(ha, ya), _column_colours(hb, yb)
+    if sorted(ca) != sorted(cb):
         return None
-    ca, cb = classes
+    if len(set(ca)) < n:
+        ta, tb = _pair_colours(ha), _pair_colours(hb)
+        classes = _refine(ta, tb)
+        if classes is not None and len(set(classes[0])) < n:
+            classes = _refine(_with_projection(ta, _projection_matrix(ha, ya), classes[0]),
+                              _with_projection(tb, _projection_matrix(hb, yb), classes[1]))
+        if classes is None:
+            return None
+        ca, cb = classes
     left = Counter(cb)
     last = 0  # the last position with more than one candidate
     for j, c in enumerate(ca):
@@ -326,6 +353,7 @@ def _match(ha: IntMatrix, hb: IntMatrix):
         return True
 
     def twin(k: int, l: int) -> bool:
+        # only a class of two or more columns asks, so tb was built
         if (k, l) not in swaps:
             swaps[k, l] = _swap_closed(hb, k, l, tb[k][l][0])
         return swaps[k, l]

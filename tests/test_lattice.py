@@ -443,6 +443,27 @@ def _perturbed_pairs():
         yield n, a, b
 
 
+def _symmetric_pairs():
+    # 300 pairs (n, a, b) with a = [1 ... 1; v], v symmetric about its mean
+    # (such as -3 0 3), so that Q_jj = sum_k (v_k - v_j)^2 is the same on a
+    # column and its mirror; b is a shuffled copy of a, half of the time
+    # with one column negated
+    rng = random.Random(73)
+    for _ in range(300):
+        n = rng.randint(3, 6)
+        mean = rng.randint(-3, 3)
+        d = rng.sample(range(1, 5), n // 2)
+        v = [mean + x for x in d] + [mean - x for x in d] + [mean] * (n % 2)
+        rng.shuffle(v)
+        a = [[1] * n, v]
+        b = _shuffled(rng, a, n)
+        if rng.random() < 0.5:
+            k = rng.randrange(n)
+            for row in b:
+                row[k] = -row[k]
+        yield n, a, b
+
+
 class TestColumnRefinement:
     def test_distinct_values_against_brute_force(self):
         # [1 ... 1; v] with distinct v: the pair colours are |v_j - v_k| and
@@ -683,7 +704,7 @@ class TestMinorColours:
                                           for _ in range(rng.randint(1, n))], n))
             a = sympy.Matrix(h.to_lists())
             g = a * a.T
-            assert sympy.Matrix(lattice._projection_matrix(h)) == \
+            assert sympy.Matrix(lattice._projection_matrix(h, lattice._scaled_dual(h))) == \
                 g.det() * a.T * g.inv() * a, h
 
     def test_projection_colours_are_sound(self):
@@ -715,10 +736,10 @@ class TestMinorColours:
             if pair is None or len(set(pair[0])) == n:
                 continue
             seen += 1
-            both = lattice._refine(lattice._with_projection(ta, ha, pair[0]),
-                                   lattice._with_projection(tb, hb, pair[1]))
+            qa, qb = (lattice._projection_matrix(h, lattice._scaled_dual(h)) for h in (ha, hb))
+            both = lattice._refine(lattice._with_projection(ta, qa, pair[0]),
+                                   lattice._with_projection(tb, qb, pair[1]))
             split += both is None or len(set(both[0])) > len(set(pair[0]))
-            qa, qb = lattice._projection_matrix(ha), lattice._projection_matrix(hb)
             pa, pb = _minors(ha.entries, n), _minors(hb.entries, n)
             assert all(qa[j][j] == sum(x * x for s, x in pa.items() if j in s)
                        for j in range(n)), ha
@@ -732,27 +753,33 @@ class TestMinorColours:
         assert seen >= 150 and split >= 100
 
     def test_projection_colours_only_where_a_class_survives(self, monkeypatch):
-        # Q is computed, once a side, only when the pair colours leave a
-        # class of more than one column
+        # once det(G) agrees, one _solve a side gives the column colours
+        # and, where the pair colours leave a class of more than one column,
+        # Q as well; the pair colours are built only where the column
+        # colours leave a class of more than one column
         calls = Counter()
-        projection_matrix = lattice._projection_matrix
-
-        def counted(*args):
-            calls["_projection_matrix"] += 1
-            return projection_matrix(*args)
-
-        monkeypatch.setattr(lattice, "_projection_matrix", counted)
+        for name in ["_solve", "_pair_colours", "_projection_matrix"]:
+            def counted(*args, fn=getattr(lattice, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(lattice, name, counted)
         v, w = [1, 2, 2, 3, 3], [1, 3, 2, 3, 2]
         a, b = _mat(_kernel_of_weights(v), 5), _mat(_kernel_of_weights(w), 5)
         assert permuted_equal(a, b) == lex_least_permutation(a, b)
-        assert calls["_projection_matrix"] == 2
+        assert calls == {"_solve": 2, "_pair_colours": 2, "_projection_matrix": 2}, calls
+        calls.clear()
         a = _mat([[1] * 6, [0, 1, 2, 3, 4, 7]], 6)
         b = _mat(_shuffled(random.Random(71), a.to_lists(), 6), 6)
         ha, hb = hermite_normal_form(a), hermite_normal_form(b)
-        classes = lattice._refine(lattice._pair_colours(ha), lattice._pair_colours(hb))
-        assert classes is not None and len(set(classes[0])) == 6
+        colours = lattice._column_colours(ha, lattice._scaled_dual(ha))
+        assert len(set(colours)) == 6
+        calls.clear()
         assert permuted_equal(a, b) == lex_least_permutation(a, b)
-        assert calls["_projection_matrix"] == 2
+        assert calls == {"_solve": 2}, calls
+        calls.clear()
+        a, b = _block_family(5)
+        assert permuted_equal(_mat(a, 10), _mat(b, 10)) is None
+        assert calls == {"_solve": 2, "_pair_colours": 2}, calls
 
 
 def test_a_discrete_refinement_checks_one_leaf(monkeypatch):
@@ -796,14 +823,60 @@ def test_gram_determinant_is_sound():
         assert _gram_det(a, n) == _gram_det(b, n), (a, b)
 
 
+def test_column_colours_are_sound(monkeypatch):
+    # a match carries each column colour (gcd_j, Q_jj) of a onto b; pairs
+    # whose colours are all distinct build no pair-colour table, and the
+    # rest (every symmetric pair among them) fall back to the pair colours.
+    # The 830 column-negated pairs with n = 6 would take the brute force
+    # about 9 s, so their matches are checked directly instead.
+    calls = Counter()
+    pair_colours = lattice._pair_colours
+
+    def counted(h):
+        calls["_pair_colours"] += 1
+        return pair_colours(h)
+
+    monkeypatch.setattr(lattice, "_pair_colours", counted)
+    discrete = fallback = 0
+    for family, pairs in enumerate([_perturbed_pairs(), _negated_column_pairs(),
+                                    _symmetric_pairs()]):
+        for n, a, b in pairs:
+            a, b = _mat(a, n), _mat(b, n)
+            ha, hb = hermite_normal_form(a), hermite_normal_form(b)
+            before = calls["_pair_colours"]
+            p = permuted_equal(a, b)
+            if family != 1 or n < 6:
+                assert p == lex_least_permutation(a, b), (a, b)
+            elif p is not None:
+                assert equal(lattice_of(_permuted(b.entries, p, n)), lattice_of(a)), (a, b)
+            if ha == hb or ha.rows != hb.rows or \
+                    _gram_det(ha.entries, n) != _gram_det(hb.entries, n):
+                continue
+            ca, cb = (lattice._column_colours(h, lattice._scaled_dual(h)) for h in (ha, hb))
+            assert ca == [(gcd(*col), sum(x * x for s, x in _minors(ha.entries, n).items()
+                                          if j in s))
+                          for j, col in enumerate(zip(*ha.entries))], ha
+            if p is not None:
+                assert all(ca[j] == cb[p[j]] for j in range(n)), (a, b)
+            if sorted(ca) != sorted(cb):
+                assert p is None and calls["_pair_colours"] == before, (a, b)
+            elif len(set(ca)) == n:
+                discrete += 1
+                assert family != 2 and calls["_pair_colours"] == before, (a, b)
+            else:
+                fallback += 1
+                assert calls["_pair_colours"] == before + 2, (a, b)
+    assert discrete >= 1000 and fallback >= 2500, (discrete, fallback)
+
+
 def test_an_index_2_sublattice_stops_at_det_g(monkeypatch):
     # b = [2 a_0; a_1] spans a sublattice of index 2, so det(G) is 4 times
-    # a's, and neither invariant factors nor pair colours are computed
+    # a's, and neither invariant factors nor any colour is computed
     a = [[1, 2, 0, -1, 3, 1], [0, 1, 1, 2, -2, 0]]
     b = [[2 * x for x in a[0]], a[1]]
     calls = Counter()
     with monkeypatch.context() as patch:
-        for name in ["invariant_factors", "_pair_colours"]:
+        for name in ["invariant_factors", "_solve", "_pair_colours"]:
             def counted(*args, fn=getattr(lattice, name), name=name):
                 calls[name] += 1
                 return fn(*args)
