@@ -853,8 +853,8 @@ def test_column_colours_are_sound(monkeypatch):
                     _gram_det(ha.entries, n) != _gram_det(hb.entries, n):
                 continue
             ca, cb = (lattice._column_colours(h, lattice._scaled_dual(h)) for h in (ha, hb))
-            assert ca == [(gcd(*col), sum(x * x for s, x in _minors(ha.entries, n).items()
-                                          if j in s))
+            minors = _minors(ha.entries, n)
+            assert ca == [(gcd(*col), sum(x * x for s, x in minors.items() if j in s))
                           for j, col in enumerate(zip(*ha.entries))], ha
             if p is not None:
                 assert all(ca[j] == cb[p[j]] for j in range(n)), (a, b)
